@@ -114,9 +114,11 @@ void BenchSustainedQps() {
   }
 }
 
-// The harness-bottleneck knee: smallest shard count whose per-query wall
-// overhead exceeds 1.25x the best observed — where coordination (workers,
-// cache, journaling-free path) stops scaling linearly.
+// The harness-bottleneck knee: the first shard count past the best point
+// (the argmin of per-query wall time) whose per-query wall overhead exceeds
+// 1.25x that best — where coordination (workers, cache, journaling-free
+// path) stops scaling linearly.  Counts before the best point are excluded:
+// there fixed startup cost dominates, which is amortization, not a knee.
 void BenchKnee() {
   std::printf("harness-bottleneck knee\n");
   const std::size_t counts_full[] = {1, 2, 4, 8, 16, 32, 64};
@@ -126,15 +128,19 @@ void BenchKnee() {
               : std::span<const std::size_t>(counts_full);
   std::vector<double> per_query(counts.size(), 0.0);
   double best = 1e300;
+  std::size_t best_i = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     fleet::FleetReport r;
     const double wall_s = WallSeconds(OptionsFor(counts[i]), &r);
     per_query[i] =
         r.issued > 0 ? wall_s / static_cast<double>(r.issued) : 0.0;
-    best = std::min(best, per_query[i]);
+    if (per_query[i] < best) {
+      best = per_query[i];
+      best_i = i;
+    }
   }
-  std::size_t knee = 0;  // 0: no knee in the swept range
-  for (std::size_t i = 0; i < counts.size(); ++i) {
+  std::size_t knee = 0;  // 0: no knee past the best point in the swept range
+  for (std::size_t i = best_i + 1; i < counts.size(); ++i) {
     if (per_query[i] > 1.25 * best) {
       knee = counts[i];
       break;

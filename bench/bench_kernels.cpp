@@ -1,14 +1,12 @@
-// Engineering microbenchmarks for the execution engine: optimized
-// (register-tiled, optionally threaded) GEMM kernels against the scalar
-// references, the prepacked conv path against the pack-every-call legacy
-// path, the threaded executor and the sample-level accuracy fan-out.  The
-// INT8-vs-FP32 arithmetic gap motivates the paper's numerics discussion
-// (§7.5).
+// Engineering microbenchmarks for the execution engine: the optimized
+// (register-tiled, optionally threaded) f32 GEMM against the naive
+// reference, the threaded executor, the sample-level accuracy fan-out, the
+// arena and tiled execution paths, and the static memory plans.
 //
 // Standalone (no benchmark framework): adaptive wall-clock timing, a table
 // on stdout, and a machine-readable BENCH_kernels.json for CI artifacts.
 // Every optimized-vs-reference pair is asserted correct before being timed
-// (bit-identical for integer kernels; to a documented tolerance for SIMD
+// (bit-identical for the scalar table; to a documented tolerance for SIMD
 // f32, which reassociates), so a speedup can never come from a wrong
 // answer.  The dispatch section times every kernel table the runtime
 // registry reports available on this host (DESIGN.md §13).
@@ -29,16 +27,15 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "infer/executor.h"
-#include "infer/int8_conv.h"
-#include "infer/int8_gemm.h"
+#include "infer/gemm.h"
 #include "infer/kernels/registry.h"
 #include "infer/memory_plan.h"
-#include "infer/prepared_model.h"
 #include "infer/tile_planner.h"
 #include "infer/weights.h"
 #include "models/mobilenet_edgetpu.h"
 #include "models/zoo.h"
 #include "obs/trace.h"
+#include "reference_ops.h"
 #include "transform/pass_manager.h"
 
 namespace {
@@ -98,13 +95,13 @@ void BenchGemmF32(const ThreadPool& pool) {
     for (auto& v : a) v = static_cast<float>(rng.NextGaussian());
     for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
 
-    infer::GemmF32Ref(a, b, n, n, n, c_ref);
+    reference::GemmF32Ref(a, b, n, n, n, c_ref);
     infer::GemmF32(a, b, n, n, n, c_opt, &pool);
     Check(c_ref == c_opt, "GemmF32 tiled != reference");
 
     const double flops = 2.0 * static_cast<double>(n) * n * n;
     const double s_ref =
-        TimeSeconds([&] { infer::GemmF32Ref(a, b, n, n, n, c_ref); });
+        TimeSeconds([&] { reference::GemmF32Ref(a, b, n, n, n, c_ref); });
     const double s_opt =
         TimeSeconds([&] { infer::GemmF32(a, b, n, n, n, c_opt); });
     const double s_par =
@@ -118,41 +115,11 @@ void BenchGemmF32(const ThreadPool& pool) {
   }
 }
 
-void BenchGemmU8(const ThreadPool& pool) {
-  std::printf("GEMM u8*u8 -> i32 (zero-point 128):\n");
-  for (const std::size_t n : {64u, 128u, 256u, 384u}) {
-    Rng rng(1);
-    std::vector<std::uint8_t> a(n * n), b(n * n);
-    std::vector<std::int32_t> c_ref(n * n), c_opt(n * n);
-    for (auto& v : a) v = static_cast<std::uint8_t>(rng.NextBelow(256));
-    for (auto& v : b) v = static_cast<std::uint8_t>(rng.NextBelow(256));
-
-    infer::GemmU8U8I32Ref(a, 128, b, 128, n, n, n, c_ref);
-    infer::GemmU8U8I32(a, 128, b, 128, n, n, n, c_opt, &pool);
-    Check(c_ref == c_opt, "GemmU8U8I32 tiled != reference");
-
-    const double ops = 2.0 * static_cast<double>(n) * n * n;
-    const double s_ref = TimeSeconds(
-        [&] { infer::GemmU8U8I32Ref(a, 128, b, 128, n, n, n, c_ref); });
-    const double s_opt = TimeSeconds(
-        [&] { infer::GemmU8U8I32(a, 128, b, 128, n, n, n, c_opt); });
-    const double s_par = TimeSeconds(
-        [&] { infer::GemmU8U8I32(a, 128, b, 128, n, n, n, c_opt, &pool); });
-    const std::string tag = "gemm_u8_n" + std::to_string(n);
-    Record(tag + "_ref_gops", ops / s_ref / 1e9, "GOP/s");
-    Record(tag + "_opt_gops", ops / s_opt / 1e9, "GOP/s");
-    Record(tag + "_threaded_gops", ops / s_par / 1e9, "GOP/s");
-    Record(tag + "_opt_speedup", s_ref / s_opt, "x");
-    Record(tag + "_threaded_speedup", s_ref / s_par, "x");
-  }
-}
-
 // Runtime-dispatched kernel tables (DESIGN.md §13): every ISA the registry
 // reports available, on a square shape and on a large reference-model shape
 // (the 784x864x192 im2col GEMM of a MobileNetEdgeTPU mid-network 3x3 conv).
-// INT8 results must be bit-identical to the scalar oracle on every table;
 // f32 SIMD tables may reassociate, so they are checked to a relative
-// tolerance instead.
+// tolerance of the naive reference.
 void BenchGemmDispatch() {
   const infer::kernels::KernelRegistry& reg =
       infer::kernels::KernelRegistry::Global();
@@ -177,19 +144,11 @@ void BenchGemmDispatch() {
     std::vector<float> c_ref(sh.m * sh.n), c_isa(sh.m * sh.n);
     for (auto& v : a) v = static_cast<float>(rng.NextGaussian());
     for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
-    std::vector<std::uint8_t> qa(sh.m * sh.k), qb(sh.n * sh.k);
-    for (auto& v : qa) v = static_cast<std::uint8_t>(rng.NextBelow(256));
-    for (auto& v : qb) v = static_cast<std::uint8_t>(rng.NextBelow(256));
-    std::vector<std::int32_t> i_ref(sh.m * sh.n), i_isa(sh.m * sh.n);
 
-    infer::GemmF32Ref(a, b, sh.m, sh.n, sh.k, c_ref);
-    infer::GemmU8U8I32Ref(qa, 128, qb, 3, sh.m, sh.n, sh.k, i_ref);
+    reference::GemmF32Ref(a, b, sh.m, sh.n, sh.k, c_ref);
     const double flops = 2.0 * static_cast<double>(sh.m) * sh.n * sh.k;
     const double s_f32_ref = TimeSeconds(
-        [&] { infer::GemmF32Ref(a, b, sh.m, sh.n, sh.k, c_isa); });
-    const double s_u8_ref = TimeSeconds([&] {
-      infer::GemmU8U8I32Ref(qa, 128, qb, 3, sh.m, sh.n, sh.k, i_isa);
-    });
+        [&] { reference::GemmF32Ref(a, b, sh.m, sh.n, sh.k, c_isa); });
 
     for (const infer::kernels::KernelIsa isa : reg.AvailableIsas()) {
       const infer::kernels::KernelTable& table = reg.Select(isa);
@@ -202,65 +161,14 @@ void BenchGemmDispatch() {
         // not required, closeness is.  |ref| ~ sqrt(k) for Gaussian data.
         const double tol = 1e-4 * std::sqrt(static_cast<double>(sh.k));
         Check(std::fabs(c_isa[i] - c_ref[i]) <= tol,
-              "dispatched f32 GEMM outside tolerance vs scalar oracle");
+              "dispatched f32 GEMM outside tolerance vs naive reference");
       }
-      infer::GemmU8U8I32(qa, 128, qb, 3, sh.m, sh.n, sh.k, i_isa, table);
-      Check(i_isa == i_ref, "dispatched u8 GEMM != scalar oracle");
 
       const double s_f32 = TimeSeconds(
           [&] { infer::GemmF32(a, b, sh.m, sh.n, sh.k, c_isa, table); });
-      const double s_u8 = TimeSeconds([&] {
-        infer::GemmU8U8I32(qa, 128, qb, 3, sh.m, sh.n, sh.k, i_isa, table);
-      });
       Record(tag + "_f32_gflops", flops / s_f32 / 1e9, "GFLOP/s");
       Record(tag + "_f32_speedup", s_f32_ref / s_f32, "x");
-      Record(tag + "_u8_gops", flops / s_u8 / 1e9, "GOP/s");
-      Record(tag + "_u8_speedup", s_u8_ref / s_u8, "x");
     }
-  }
-}
-
-void BenchConvInt8(const ThreadPool& pool) {
-  std::printf("conv int8 im2col 16x16 3x3 (legacy vs prepacked+scratch):\n");
-  for (const std::int64_t c : {16, 32, 64}) {
-    Rng rng(7);
-    infer::Tensor input(graph::TensorShape({1, 16, 16, c}));
-    infer::Tensor weights(graph::TensorShape({c, 3, 3, c}));
-    infer::Tensor bias(graph::TensorShape({c}));
-    for (auto& v : input.values())
-      v = static_cast<float>(rng.NextUniform(-1, 1));
-    for (auto& v : weights.values())
-      v = static_cast<float>(rng.NextUniform(-0.5, 0.5));
-    const infer::QuantizationParams in_q =
-        infer::ChooseQuantParams(-1.0f, 1.0f);
-    const infer::QuantizationParams w_q =
-        infer::ChooseQuantParams(-0.5f, 0.5f);
-
-    const infer::PackedConvWeights packed =
-        infer::PackConvWeights(weights, w_q);
-    infer::ConvScratch scratch;
-    const infer::Tensor legacy = infer::ConvInt8NHWC(
-        input, weights, bias, 1, graph::Padding::kSame, in_q, w_q);
-    const infer::Tensor prepacked =
-        infer::ConvInt8NHWC(input, packed, bias, 1, graph::Padding::kSame,
-                            in_q, &scratch, &pool);
-    Check(legacy.size() == prepacked.size(), "conv size mismatch");
-    for (std::size_t i = 0; i < legacy.size(); ++i)
-      Check(legacy.at(i) == prepacked.at(i), "prepacked conv != legacy");
-
-    const double s_legacy = TimeSeconds([&] {
-      auto out = infer::ConvInt8NHWC(input, weights, bias, 1,
-                                     graph::Padding::kSame, in_q, w_q);
-    });
-    const double s_packed = TimeSeconds([&] {
-      auto out = infer::ConvInt8NHWC(input, packed, bias, 1,
-                                     graph::Padding::kSame, in_q, &scratch,
-                                     &pool);
-    });
-    const std::string tag = "conv_int8_c" + std::to_string(c);
-    Record(tag + "_legacy_ms", s_legacy * 1e3, "ms");
-    Record(tag + "_prepacked_ms", s_packed * 1e3, "ms");
-    Record(tag + "_speedup", s_legacy / s_packed, "x");
   }
 }
 
@@ -275,16 +183,18 @@ void BenchExecutor(const ThreadPool& pool) {
   for (auto& v : input.values()) v = static_cast<float>(rng.NextDouble());
   const std::vector<infer::Tensor> inputs{input};
 
-  const auto serial_out = exec.Run(inputs);
-  const auto threaded_out = exec.Run(inputs, infer::NodeObserver{}, &pool);
+  infer::ExecutionContext ctx = exec.CreateContext();
+  const auto serial_out = exec.Run(inputs, ctx);
+  const auto threaded_out = exec.Run(inputs, ctx, {}, &pool);
   for (std::size_t o = 0; o < serial_out.size(); ++o)
     for (std::size_t i = 0; i < serial_out[o].size(); ++i)
       Check(serial_out[o].at(i) == threaded_out[o].at(i),
             "threaded executor != serial");
 
-  const double s_serial = TimeSeconds([&] { auto out = exec.Run(inputs); });
-  const double s_thread = TimeSeconds(
-      [&] { auto out = exec.Run(inputs, infer::NodeObserver{}, &pool); });
+  const double s_serial =
+      TimeSeconds([&] { auto out = exec.Run(inputs, ctx); });
+  const double s_thread =
+      TimeSeconds([&] { auto out = exec.Run(inputs, ctx, {}, &pool); });
   Record("executor_mini_classifier_serial_ms", s_serial * 1e3, "ms");
   Record("executor_mini_classifier_threaded_ms", s_thread * 1e3, "ms");
   Record("executor_mini_classifier_speedup", s_serial / s_thread, "x");
@@ -310,9 +220,8 @@ void BenchExecutor(const ThreadPool& pool) {
   Record("accuracy_fanout_8samples_speedup", s_loop / s_fan, "x");
 }
 
-// Single-sample latency with per-node allocation (legacy) vs the planned
-// arena context, after asserting bit-identical outputs.  Small models are
-// where per-node malloc/zero-fill is the largest fraction of the sample.
+// Single-sample latency through a reused arena context, plus the planned
+// arena's footprint and its savings over one buffer per tensor.
 void BenchArena(const models::BenchmarkEntry& entry,
                 models::SuiteVersion version, const std::string& tag) {
   const graph::Graph g =
@@ -329,21 +238,10 @@ void BenchArena(const models::BenchmarkEntry& entry,
   }
 
   infer::ExecutionContext ctx = exec.CreateContext();
-  const auto legacy_out = exec.Run(inputs);
-  const auto arena_out = exec.Run(inputs, ctx);
-  Check(legacy_out.size() == arena_out.size(), "arena output count != legacy");
-  for (std::size_t o = 0; o < legacy_out.size(); ++o)
-    for (std::size_t i = 0; i < legacy_out[o].size(); ++i)
-      Check(legacy_out[o].at(i) == arena_out[o].at(i),
-            "arena executor != legacy");
-
-  const double s_legacy = TimeSeconds([&] { auto out = exec.Run(inputs); });
   const double s_arena =
       TimeSeconds([&] { auto out = exec.Run(inputs, ctx); });
   const infer::MemoryPlan& plan = exec.memory_plan();
-  Record(tag + "_legacy_ms", s_legacy * 1e3, "ms");
   Record(tag + "_arena_ms", s_arena * 1e3, "ms");
-  Record(tag + "_arena_speedup", s_legacy / s_arena, "x");
   Record(tag + "_arena_kib",
          static_cast<double>(plan.peak_arena_bytes()) / 1024.0, "KiB");
   Record(tag + "_arena_savings",
@@ -351,7 +249,7 @@ void BenchArena(const models::BenchmarkEntry& entry,
 }
 
 void BenchArenaExecution() {
-  std::printf("arena vs legacy execution (mini models, single sample):\n");
+  std::printf("arena execution (mini models, single sample):\n");
   for (const auto version :
        {models::SuiteVersion::kV1_0, models::SuiteVersion::kV0_7}) {
     for (const models::BenchmarkEntry& entry : models::SuiteFor(version)) {
@@ -509,7 +407,7 @@ void BenchTransform() {
 // Tiled, fused pipeline execution (DESIGN.md §15).  Three hard CI gates:
 // the tile-aware plan must strictly shrink the packed arena on every
 // full-scale reference model that has a fusable segment; tiled execution
-// must stay bit-identical to the whole-op oracle; and tiled single-sample
+// must stay bit-identical to the untiled (whole-op) run; and tiled single-sample
 // latency must not grossly regress (>1.5x the whole-op arena path fails).
 // The speedups themselves are recorded so smaller drifts show in the
 // artifact.
@@ -748,9 +646,7 @@ int main(int argc, char** argv) {
   const ThreadPool pool;  // hardware concurrency
   std::printf("bench_kernels: %zu execution lane(s)\n", pool.thread_count());
   BenchGemmF32(pool);
-  BenchGemmU8(pool);
   BenchGemmDispatch();
-  BenchConvInt8(pool);
   BenchExecutor(pool);
   BenchArenaExecution();
   BenchTraceOverhead();

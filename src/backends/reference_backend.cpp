@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "infer/prepared_model.h"
 
 namespace mlpm::backends {
 

@@ -22,7 +22,7 @@ Interval WindowSpan(const Interval& out, std::int64_t in_size, int kernel,
 
 // Source rows a bilinear band reads: the first tap (y0) of the first
 // output row through the second tap (y1 = y0 + 1, clamped) of the last,
-// with the whole-op kernel's half-pixel center math reproduced verbatim.
+// with the resize kernel's half-pixel center math reproduced verbatim.
 Interval ResizeSpan(const Interval& out, std::int64_t in_size,
                     std::int64_t out_size) {
   const double s =

@@ -7,7 +7,7 @@
 // effective kernel k and SAME pad p, the input rows touched are
 // [b*s - p, (e-1)*s - p + k), clamped to the tensor — so a tile executor
 // that materializes exactly the inferred box computes every output element
-// from the same inputs as the whole-op kernel (DESIGN.md §15).
+// from the same inputs as an untiled run (DESIGN.md §15).
 //
 // Contracts:
 //   * Inference covers input[0] only.  Binary elementwise ops read their
@@ -15,8 +15,7 @@
 //     required box of input[1] equals the crop itself.
 //   * The returned box is clamped to the input shape.  Padding (SAME conv
 //     edges, pool edge windows) is handled by the kernels skipping taps
-//     outside the clamped box, exactly as the whole-op path skips taps
-//     outside the tensor.
+//     outside the logical tensor, which the clamped box always covers.
 //   * Crops split N and H only; inference keeps W and C spans full-range
 //     in the same spirit, but the math is exact for W crops too.
 #pragma once
@@ -27,8 +26,8 @@
 namespace mlpm::graph {
 
 // Padding offset at the start of one spatial dimension for SAME padding.
-// Shared by the whole-op kernels and the crop-aware kernels so both sides
-// of the equivalence proof use one definition.
+// Shared by the band kernels and bounds inference so both sides of the
+// tiling proof use one definition.
 [[nodiscard]] std::int64_t SamePadBegin(std::int64_t in, std::int64_t out,
                                         int kernel, int stride, int dilation,
                                         Padding pad);

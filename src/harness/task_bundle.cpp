@@ -135,13 +135,14 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
         datasets::GatherCalibrationSamples(*dataset_, p.calibration_indices);
     const infer::QuantParams qp =
         quant::CalibratePtq(*graph_, *weights, samples);
-    p.model = std::make_shared<infer::PreparedModel>(*graph_, *weights, mode,
-                                                     &qp, isa, tiling);
+    p.model = std::make_shared<const infer::Executor>(*graph_, *weights,
+                                                      mode, &qp, isa, tiling);
   } else {
-    p.model = std::make_shared<infer::PreparedModel>(*graph_, *weights, mode,
-                                                     nullptr, isa, tiling);
+    p.model = std::make_shared<const infer::Executor>(*graph_, *weights,
+                                                      mode, nullptr, isa,
+                                                      tiling);
   }
-  p.executor = &p.model->executor();
+  p.executor = p.model.get();
   prepared_cache_.emplace(key, p);
   return p;
 }
@@ -192,14 +193,13 @@ TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
         datasets::GatherCalibrationSamples(*dataset_, p.calibration_indices);
     const infer::QuantParams qp =
         quant::CalibratePtq(tr->graph, tr->weights, samples);
-    p.model = std::make_shared<infer::PreparedModel>(tr->graph, tr->weights,
-                                                     mode, &qp, isa, tiling);
+    p.model = std::make_shared<const infer::Executor>(
+        tr->graph, tr->weights, mode, &qp, isa, tiling);
   } else {
-    p.model = std::make_shared<infer::PreparedModel>(tr->graph, tr->weights,
-                                                     mode, nullptr, isa,
-                                                     tiling);
+    p.model = std::make_shared<const infer::Executor>(
+        tr->graph, tr->weights, mode, nullptr, isa, tiling);
   }
-  p.executor = &p.model->executor();
+  p.executor = p.model.get();
   p.transformed = tr;  // keeps the graph/weights alive for p.model
   p.transform = info;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <variant>
 
 #include "common/fp16.h"
@@ -16,159 +15,15 @@
 namespace mlpm::infer {
 namespace {
 
-using graph::Activation;
 using graph::Graph;
 using graph::Node;
 using graph::OpType;
-using graph::Padding;
 using graph::TensorId;
 using graph::TensorShape;
 
 // Elementwise ops smaller than this run inline; the fork/join handshake
 // costs more than the loop below it.
 constexpr std::size_t kElementwiseCutoff = 1024;
-
-// ApplyActivation lives in infer/op_math.h and SAME-padding offsets in
-// graph::SamePadBegin so the whole-op kernels below and the tiled band
-// kernels (tiled_ops.cpp) provably share one definition of both.
-
-void RunConv2d(const Node& n, const graph::Conv2dAttrs& a, const Tensor& in,
-               const Tensor& w, const Tensor& bias, Tensor& out,
-               const kernels::KernelTable& kt, const ThreadPool* pool) {
-  const TensorShape& is = in.shape();
-  const TensorShape& os = out.shape();
-  const std::int64_t N = is.batch(), IH = is.height(), IW = is.width(),
-                     IC = is.channels();
-  const std::int64_t OH = os.height(), OW = os.width(), OC = os.channels();
-  const std::int64_t ph =
-      graph::SamePadBegin(IH, OH, a.kernel_h, a.stride, a.dilation, a.padding);
-  const std::int64_t pw =
-      graph::SamePadBegin(IW, OW, a.kernel_w, a.stride, a.dilation, a.padding);
-  const float* __restrict wp = w.data();
-  const float* __restrict bp = bias.data();
-  const float* __restrict ip = in.data();
-  float* __restrict op = out.data();
-
-  // Parallel over independent output rows (b, oh); within a pixel, four
-  // output channels run together through the dispatched dot4 microkernel so
-  // each input pixel load feeds four accumulators.  With the scalar table
-  // every accumulator starts at its bias and adds terms in the same
-  // (kh, kw, ic) order as the original loop — bit-identical output;
-  // vectorized tables reassociate within the documented f32 tolerance.
-  ParallelForRange(pool, 0, N * OH, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t row = lo; row < hi; ++row) {
-      const std::int64_t b = row / OH;
-      const std::int64_t oh = row % OH;
-      for (std::int64_t ow = 0; ow < OW; ++ow) {
-        float* out_px = op + ((b * OH + oh) * OW + ow) * OC;
-        std::int64_t oc = 0;
-        for (; oc + 4 <= OC; oc += 4) {
-          float acc[4] = {bp[oc], bp[oc + 1], bp[oc + 2], bp[oc + 3]};
-          for (int kh = 0; kh < a.kernel_h; ++kh) {
-            const std::int64_t ih =
-                oh * a.stride - ph + static_cast<std::int64_t>(kh) *
-                                         a.dilation;
-            if (ih < 0 || ih >= IH) continue;
-            for (int kw = 0; kw < a.kernel_w; ++kw) {
-              const std::int64_t iw =
-                  ow * a.stride - pw + static_cast<std::int64_t>(kw) *
-                                           a.dilation;
-              if (iw < 0 || iw >= IW) continue;
-              const float* in_px = ip + ((b * IH + ih) * IW + iw) * IC;
-              const std::int64_t woff =
-                  (static_cast<std::int64_t>(kh) * a.kernel_w + kw) * IC;
-              const std::int64_t wstride =
-                  static_cast<std::int64_t>(a.kernel_h) * a.kernel_w * IC;
-              const float* w0 = wp + oc * wstride + woff;
-              kt.dot4_f32(in_px, w0, w0 + wstride, w0 + 2 * wstride,
-                          w0 + 3 * wstride, IC, acc);
-            }
-          }
-          out_px[oc] = ApplyActivation(acc[0], a.activation);
-          out_px[oc + 1] = ApplyActivation(acc[1], a.activation);
-          out_px[oc + 2] = ApplyActivation(acc[2], a.activation);
-          out_px[oc + 3] = ApplyActivation(acc[3], a.activation);
-        }
-        for (; oc < OC; ++oc) {
-          float acc = bp[oc];
-          for (int kh = 0; kh < a.kernel_h; ++kh) {
-            const std::int64_t ih =
-                oh * a.stride - ph + static_cast<std::int64_t>(kh) *
-                                         a.dilation;
-            if (ih < 0 || ih >= IH) continue;
-            for (int kw = 0; kw < a.kernel_w; ++kw) {
-              const std::int64_t iw =
-                  ow * a.stride - pw + static_cast<std::int64_t>(kw) *
-                                           a.dilation;
-              if (iw < 0 || iw >= IW) continue;
-              const float* in_px = ip + ((b * IH + ih) * IW + iw) * IC;
-              const float* w_px =
-                  wp + ((oc * a.kernel_h + kh) * a.kernel_w + kw) * IC;
-              for (std::int64_t ic = 0; ic < IC; ++ic)
-                acc += in_px[ic] * w_px[ic];
-            }
-          }
-          out_px[oc] = ApplyActivation(acc, a.activation);
-        }
-      }
-    }
-  });
-  (void)n;
-}
-
-// `w` holds the weights repacked to [KH, KW, C] at executor construction,
-// so every tap is a channel-contiguous multiply-accumulate served by the
-// dispatched dw_madd microkernel.  With the scalar table each channel sees
-// the original bias-first, (kh, kw)-ordered accumulation (the per-tap round
-// trip through the acc buffer is value-preserving) — bit-identical output.
-void RunDepthwiseConv2d(const graph::DepthwiseConv2dAttrs& a, const Tensor& in,
-                        const Tensor& w, const Tensor& bias, Tensor& out,
-                        const kernels::KernelTable& kt,
-                        const ThreadPool* pool) {
-  const TensorShape& is = in.shape();
-  const TensorShape& os = out.shape();
-  const std::int64_t N = is.batch(), IH = is.height(), IW = is.width(),
-                     C = is.channels();
-  const std::int64_t OH = os.height(), OW = os.width();
-  const std::int64_t ph =
-      graph::SamePadBegin(IH, OH, a.kernel_h, a.stride, a.dilation, a.padding);
-  const std::int64_t pw =
-      graph::SamePadBegin(IW, OW, a.kernel_w, a.stride, a.dilation, a.padding);
-  const float* __restrict wp = w.data();  // [KH, KW, C]
-  const float* __restrict bp = bias.data();
-  const float* __restrict ip = in.data();
-  float* __restrict op = out.data();
-
-  ParallelForRange(pool, 0, N * OH, [&](std::int64_t lo, std::int64_t hi) {
-    std::vector<float> acc(static_cast<std::size_t>(C));
-    for (std::int64_t row = lo; row < hi; ++row) {
-      const std::int64_t b = row / OH;
-      const std::int64_t oh = row % OH;
-      for (std::int64_t ow = 0; ow < OW; ++ow) {
-        std::copy_n(bp, C, acc.data());
-        for (int kh = 0; kh < a.kernel_h; ++kh) {
-          const std::int64_t ih =
-              oh * a.stride - ph + static_cast<std::int64_t>(kh) * a.dilation;
-          if (ih < 0 || ih >= IH) continue;
-          for (int kw = 0; kw < a.kernel_w; ++kw) {
-            const std::int64_t iw =
-                ow * a.stride - pw + static_cast<std::int64_t>(kw) *
-                                         a.dilation;
-            if (iw < 0 || iw >= IW) continue;
-            kt.dw_madd_f32(
-                ip + ((b * IH + ih) * IW + iw) * C,
-                wp + (static_cast<std::int64_t>(kh) * a.kernel_w + kw) * C,
-                acc.data(), C);
-          }
-        }
-        float* out_px = op + ((b * OH + oh) * OW + ow) * C;
-        for (std::int64_t c = 0; c < C; ++c)
-          out_px[c] = ApplyActivation(acc[static_cast<std::size_t>(c)],
-                                      a.activation);
-      }
-    }
-  });
-}
 
 void RunFullyConnected(const graph::FullyConnectedAttrs& a, const Tensor& in,
                        const Tensor& w, const Tensor& bias, Tensor& out,
@@ -224,109 +79,23 @@ void RunFullyConnected(const graph::FullyConnectedAttrs& a, const Tensor& in,
   }
 }
 
-void RunPool(OpType op_type, const graph::PoolAttrs& a, const Tensor& in,
-             Tensor& out, const ThreadPool* pool) {
-  const TensorShape& is = in.shape();
-  const TensorShape& os = out.shape();
-  const std::int64_t N = is.batch(), IH = is.height(), IW = is.width(),
-                     C = is.channels();
-  const std::int64_t OH = os.height(), OW = os.width();
-  const float* ip = in.data();
-  float* op = out.data();
-  const bool is_max = op_type == OpType::kMaxPool;
-  ParallelForRange(pool, 0, N * OH, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t row = lo; row < hi; ++row) {
-      const std::int64_t b = row / OH;
-      const std::int64_t oh = row % OH;
-      for (std::int64_t ow = 0; ow < OW; ++ow) {
-        for (std::int64_t c = 0; c < C; ++c) {
-          float acc = is_max ? -std::numeric_limits<float>::infinity() : 0.0f;
-          int count = 0;
-          for (int kh = 0; kh < a.kernel; ++kh) {
-            const std::int64_t ih = oh * a.stride + kh;
-            if (ih >= IH) continue;
-            for (int kw = 0; kw < a.kernel; ++kw) {
-              const std::int64_t iw = ow * a.stride + kw;
-              if (iw >= IW) continue;
-              const float v = ip[((b * IH + ih) * IW + iw) * C + c];
-              if (is_max)
-                acc = std::max(acc, v);
-              else
-                acc += v;
-              ++count;
-            }
-          }
-          op[((b * OH + oh) * OW + ow) * C + c] =
-              is_max ? acc : acc / static_cast<float>(std::max(count, 1));
-        }
-      }
-    }
-  });
-}
-
 void RunGlobalAvgPool(const Tensor& in, Tensor& out, const ThreadPool* pool) {
   const TensorShape& is = in.shape();
-  const std::int64_t N = is.batch(), H = is.height(), W = is.width(),
-                     C = is.channels();
+  const std::int64_t H = is.height(), W = is.width(), C = is.channels();
   const float* ip = in.data();
   float* op = out.data();
-  ParallelForRange(pool, 0, N * C, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t f = lo; f < hi; ++f) {
-      const std::int64_t b = f / C;
-      const std::int64_t c = f % C;
+  ParallelForRange(pool, 0, C, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t c = lo; c < hi; ++c) {
       double acc = 0.0;
       for (std::int64_t h = 0; h < H; ++h)
-        for (std::int64_t w = 0; w < W; ++w)
-          acc += ip[((b * H + h) * W + w) * C + c];
-      op[b * C + c] = static_cast<float>(acc / static_cast<double>(H * W));
+        for (std::int64_t w = 0; w < W; ++w) acc += ip[(h * W + w) * C + c];
+      op[c] = static_cast<float>(acc / static_cast<double>(H * W));
     }
   });
 }
 
-void RunResizeBilinear(const Tensor& in, Tensor& out, const ThreadPool* pool) {
-  const TensorShape& is = in.shape();
-  const TensorShape& os = out.shape();
-  const std::int64_t N = is.batch(), IH = is.height(), IW = is.width(),
-                     C = is.channels();
-  const std::int64_t OH = os.height(), OW = os.width();
-  const float* ip = in.data();
-  float* op = out.data();
-  const double sh = static_cast<double>(IH) / static_cast<double>(OH);
-  const double sw = static_cast<double>(IW) / static_cast<double>(OW);
-  ParallelForRange(pool, 0, N * OH, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t row = lo; row < hi; ++row) {
-      const std::int64_t b = row / OH;
-      const std::int64_t oh = row % OH;
-      // Half-pixel centers, clamped to the valid range.
-      const double fy = std::max(
-          0.0, (static_cast<double>(oh) + 0.5) * sh - 0.5);
-      const auto y0 = std::min<std::int64_t>(static_cast<std::int64_t>(fy),
-                                             IH - 1);
-      const auto y1 = std::min<std::int64_t>(y0 + 1, IH - 1);
-      const float wy = static_cast<float>(fy - static_cast<double>(y0));
-      for (std::int64_t ow = 0; ow < OW; ++ow) {
-        const double fx = std::max(
-            0.0, (static_cast<double>(ow) + 0.5) * sw - 0.5);
-        const auto x0 = std::min<std::int64_t>(static_cast<std::int64_t>(fx),
-                                               IW - 1);
-        const auto x1 = std::min<std::int64_t>(x0 + 1, IW - 1);
-        const float wx = static_cast<float>(fx - static_cast<double>(x0));
-        for (std::int64_t c = 0; c < C; ++c) {
-          const auto px = [&](std::int64_t y, std::int64_t x) {
-            return ip[((b * IH + y) * IW + x) * C + c];
-          };
-          const float top = px(y0, x0) * (1 - wx) + px(y0, x1) * wx;
-          const float bot = px(y1, x0) * (1 - wx) + px(y1, x1) * wx;
-          op[((b * OH + oh) * OW + ow) * C + c] = top * (1 - wy) + bot * wy;
-        }
-      }
-    }
-  });
-}
-
-void RunConcat(const Graph& g, const Node& n,
+void RunConcat(const graph::ConcatAttrs& a,
                const std::vector<const Tensor*>& ins, Tensor& out) {
-  const auto& a = std::get<graph::ConcatAttrs>(n.attrs);
   const TensorShape& os = out.shape();
   const auto rank = static_cast<int>(os.rank());
   const int ax = a.axis >= 0 ? a.axis : rank + a.axis;
@@ -349,7 +118,6 @@ void RunConcat(const Graph& g, const Node& n,
     }
     axis_offset += t_axis;
   }
-  (void)g;
 }
 
 void RunSoftmaxLastDim(const Tensor& in, Tensor& out, const ThreadPool* pool) {
@@ -539,18 +307,19 @@ void RunLstm(const graph::LstmAttrs& a, const Tensor& in, const Tensor& wx,
   }
 }
 
-void RoundTensorToHalf(Tensor& t, const ThreadPool* pool) {
-  auto vals = t.values();
-  if (vals.size() < kElementwiseCutoff) {
-    for (auto& v : vals) v = RoundToHalf(v);
-    return;
+// Simulated output numerics over a flat float range: fp16 rounding, or
+// activation fake-quant when `range` is set.  Elementwise, so any split of
+// a tensor into ranges (thread chunks, tile bands) gives identical bits;
+// both roundings are idempotent, so re-applying them over an aliased
+// buffer is exact.
+void ApplyNumerics(NumericsMode mode, const TensorRange* range, int bits,
+                   float* data, std::int64_t n) {
+  if (mode == NumericsMode::kFp16) {
+    for (std::int64_t i = 0; i < n; ++i) data[i] = RoundToHalf(data[i]);
+  } else if (mode == NumericsMode::kInt8 && range != nullptr) {
+    for (std::int64_t i = 0; i < n; ++i)
+      data[i] = FakeQuantActivation(data[i], *range, bits);
   }
-  ParallelForRange(pool, 0, static_cast<std::int64_t>(vals.size()),
-                   [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t i = lo; i < hi; ++i)
-                       vals[static_cast<std::size_t>(i)] =
-                           RoundToHalf(vals[static_cast<std::size_t>(i)]);
-                   });
 }
 
 // Symmetric per-channel (or per-tensor) weight fake quantization; channel ==
@@ -607,14 +376,20 @@ Executor::Executor(const Graph& graph, const WeightStore& weights,
   for (graph::TensorId id = 0;
        id < static_cast<graph::TensorId>(graph_.tensors().size()); ++id) {
     const auto& info = graph_.tensor(id);
-    if (info.kind != graph::TensorKind::kWeight) continue;
+    if (info.kind != graph::TensorKind::kWeight) {
+      Expects(info.shape.rank() != 4 || info.shape.batch() == 1,
+              "band kernels require batch-1 rank-4 activations (" +
+                  info.name + ")");
+      continue;
+    }
     auto t = std::make_unique<Tensor>(weights.Get(info.name));
     const bool is_bias_like = info.shape.rank() == 1;
     switch (mode_) {
       case NumericsMode::kFp32:
         break;
       case NumericsMode::kFp16:
-        RoundTensorToHalf(*t, nullptr);
+        ApplyNumerics(mode_, nullptr, 0, t->data(),
+                      static_cast<std::int64_t>(t->size()));
         break;
       case NumericsMode::kInt8:
         // Biases stay high precision (INT32 accumulators on real hardware).
@@ -627,24 +402,24 @@ Executor::Executor(const Graph& graph, const WeightStore& weights,
   // Prepack depthwise weights for the selected table: [C,KH,KW] ->
   // [KH,KW,C], after the numerics transform so values are the prepared
   // ones.  A pure layout change — every table reads the same values.
-  dw_packed_weights_.resize(graph_.tensors().size());
+  std::vector<bool> packed(graph_.tensors().size(), false);
   for (const Node& n : graph_.nodes()) {
     if (n.op != OpType::kDepthwiseConv2d) continue;
     const TensorId wid = n.weights[0];
-    if (dw_packed_weights_[static_cast<std::size_t>(wid)] != nullptr) continue;
+    if (packed[static_cast<std::size_t>(wid)]) continue;
+    packed[static_cast<std::size_t>(wid)] = true;
     const Tensor& src = WeightFor(wid);
     const auto& a = std::get<graph::DepthwiseConv2dAttrs>(n.attrs);
     const std::int64_t kh = a.kernel_h, kw = a.kernel_w;
     const std::int64_t c = static_cast<std::int64_t>(src.size()) / (kh * kw);
-    auto packed =
-        std::make_unique<Tensor>(graph::TensorShape({kh, kw, c}));
+    auto dst = std::make_unique<Tensor>(graph::TensorShape({kh, kw, c}));
     const float* sp = src.data();
-    float* dp = packed->data();
+    float* dp = dst->data();
     for (std::int64_t ch = 0; ch < c; ++ch)
       for (std::int64_t y = 0; y < kh; ++y)
         for (std::int64_t x = 0; x < kw; ++x)
           dp[(y * kw + x) * c + ch] = sp[(ch * kh + y) * kw + x];
-    dw_packed_weights_[static_cast<std::size_t>(wid)] = std::move(packed);
+    prepared_weights_[static_cast<std::size_t>(wid)] = std::move(dst);
   }
 }
 
@@ -662,203 +437,191 @@ const Tensor& Executor::WeightFor(TensorId id) const {
   return *p;
 }
 
+const TensorRange* Executor::ActivationRange(TensorId id) const {
+  if (mode_ != NumericsMode::kInt8) return nullptr;
+  const auto it = quant_.activation_ranges.find(id);
+  return it != quant_.activation_ranges.end() ? &it->second : nullptr;
+}
+
+const Tensor& Executor::Fetch(const ExecutionContext& ctx, TensorId id) const {
+  if (const Tensor* ext = ctx.external_[static_cast<std::size_t>(id)])
+    return *ext;
+  const Tensor& slot = ctx.slots_[static_cast<std::size_t>(id)];
+  Expects(slot.is_view(), "use of unplanned tensor " + graph_.tensor(id).name);
+  return slot;
+}
 
 namespace {
 
-// One node's kernel dispatch, shared by the legacy (allocate-per-node) and
-// arena execution paths.  `fetch` resolves an activation TensorId to its
-// backing tensor; `out` is the node's output storage (a fresh tensor or an
-// arena view, possibly aliasing the first input for in-place ops).
-template <typename Fetch>
-void DispatchNode(const Graph& g, const Node& n, const Fetch& fetch,
-                  const std::vector<std::unique_ptr<Tensor>>& prepared_weights,
-                  const std::vector<std::unique_ptr<Tensor>>& dw_packed,
-                  const kernels::KernelTable& kt,
-                  std::array<std::atomic<std::uint64_t>, 3>& dispatch_counts,
-                  Tensor& out, const ThreadPool* pool) {
-  const auto weight_for = [&](TensorId id) -> const Tensor& {
-    const auto& p = prepared_weights[static_cast<std::size_t>(id)];
-    Expects(p != nullptr, "missing prepared weight");
-    return *p;
-  };
-  // Elementwise loops only fork when the tensor is large enough to pay for
-  // the handshake.
-  const auto elementwise_pool = [&](std::size_t size) {
-    return size >= kElementwiseCutoff ? pool : nullptr;
-  };
-
-  switch (n.op) {
-    case OpType::kInput:
-      break;
-    case OpType::kConv2d:
-      dispatch_counts[0].fetch_add(1, std::memory_order_relaxed);
-      RunConv2d(n, std::get<graph::Conv2dAttrs>(n.attrs), fetch(n.inputs[0]),
-                weight_for(n.weights[0]), weight_for(n.weights[1]), out, kt,
-                pool);
-      break;
-    case OpType::kDepthwiseConv2d: {
-      dispatch_counts[1].fetch_add(1, std::memory_order_relaxed);
-      const auto& packed = dw_packed[static_cast<std::size_t>(n.weights[0])];
-      Expects(packed != nullptr, "missing packed depthwise weight");
-      RunDepthwiseConv2d(std::get<graph::DepthwiseConv2dAttrs>(n.attrs),
-                         fetch(n.inputs[0]), *packed,
-                         weight_for(n.weights[1]), out, kt, pool);
-      break;
-    }
-    case OpType::kFullyConnected:
-      dispatch_counts[2].fetch_add(1, std::memory_order_relaxed);
-      RunFullyConnected(std::get<graph::FullyConnectedAttrs>(n.attrs),
-                        fetch(n.inputs[0]), weight_for(n.weights[0]),
-                        weight_for(n.weights[1]), out, kt, pool);
-      break;
-    case OpType::kAdd: {
-      const Tensor& x = fetch(n.inputs[0]);
-      const Tensor& y = fetch(n.inputs[1]);
-      ParallelForRange(elementwise_pool(out.size()), 0,
-                       static_cast<std::int64_t>(out.size()),
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (std::int64_t i = lo; i < hi; ++i)
-                           out.data()[i] = x.data()[i] + y.data()[i];
-                       });
-      break;
-    }
-    case OpType::kMul: {
-      const Tensor& x = fetch(n.inputs[0]);
-      const Tensor& y = fetch(n.inputs[1]);
-      ParallelForRange(elementwise_pool(out.size()), 0,
-                       static_cast<std::int64_t>(out.size()),
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (std::int64_t i = lo; i < hi; ++i)
-                           out.data()[i] = x.data()[i] * y.data()[i];
-                       });
-      break;
-    }
-    case OpType::kAvgPool:
-    case OpType::kMaxPool:
-      RunPool(n.op, std::get<graph::PoolAttrs>(n.attrs), fetch(n.inputs[0]),
-              out, pool);
-      break;
-    case OpType::kGlobalAvgPool:
-      RunGlobalAvgPool(fetch(n.inputs[0]), out, pool);
-      break;
-    case OpType::kResizeBilinear:
-      RunResizeBilinear(fetch(n.inputs[0]), out, pool);
-      break;
-    case OpType::kConcat: {
-      std::vector<const Tensor*> ins;
-      ins.reserve(n.inputs.size());
-      for (TensorId t : n.inputs) ins.push_back(&fetch(t));
-      RunConcat(g, n, ins, out);
-      break;
-    }
-    case OpType::kReshape: {
-      const Tensor& x = fetch(n.inputs[0]);
-      // Aliased reshape (arena path): the output *is* the input buffer.
-      if (x.data() != out.data())
-        std::copy_n(x.data(), x.size(), out.data());
-      break;
-    }
-    case OpType::kSoftmax: {
-      const auto& a = std::get<graph::SoftmaxAttrs>(n.attrs);
-      const auto rank = static_cast<int>(out.shape().rank());
-      Expects(a.axis == -1 || a.axis == rank - 1,
-              "softmax supported on last axis only");
-      RunSoftmaxLastDim(fetch(n.inputs[0]), out, pool);
-      break;
-    }
-    case OpType::kActivation: {
-      const auto& a = std::get<graph::ActivationAttrs>(n.attrs);
-      const Tensor& x = fetch(n.inputs[0]);
-      ParallelForRange(elementwise_pool(out.size()), 0,
-                       static_cast<std::int64_t>(out.size()),
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (std::int64_t i = lo; i < hi; ++i)
-                           out.data()[i] =
-                               ApplyActivation(x.data()[i], a.activation);
-                       });
-      break;
-    }
-    case OpType::kLayerNorm:
-      RunLayerNorm(std::get<graph::LayerNormAttrs>(n.attrs),
-                   fetch(n.inputs[0]), weight_for(n.weights[0]),
-                   weight_for(n.weights[1]), out, pool);
-      break;
-    case OpType::kEmbeddingLookup:
-      RunEmbedding(std::get<graph::EmbeddingAttrs>(n.attrs),
-                   fetch(n.inputs[0]), weight_for(n.weights[0]), out);
-      break;
-    case OpType::kMultiHeadAttention:
-      RunAttention(std::get<graph::AttentionAttrs>(n.attrs),
-                   fetch(n.inputs[0]), weight_for(n.weights[0]),
-                   weight_for(n.weights[1]), weight_for(n.weights[2]),
-                   weight_for(n.weights[3]), out, pool);
-      break;
-    case OpType::kLstm:
-      RunLstm(std::get<graph::LstmAttrs>(n.attrs), fetch(n.inputs[0]),
-              weight_for(n.weights[0]), weight_for(n.weights[1]),
-              weight_for(n.weights[2]), out);
-      break;
-    case OpType::kConstant: {
-      // Materialized constant (transform-layer constant folding): the value
-      // lives in the node's single weight tensor.
-      const Tensor& value = weight_for(n.weights[0]);
-      std::copy_n(value.data(), value.size(), out.data());
-      break;
-    }
-  }
+// Rows [lo, hi) of a tensor laid out with `full`'s band geometry.
+MutableRowBand BandRows(float* data, const RowBand& full, std::int64_t lo,
+                        std::int64_t hi) {
+  return MutableRowBand{data + lo * full.width * full.channels,
+                        lo,
+                        hi - lo,
+                        full.height,
+                        full.width,
+                        full.channels};
 }
 
-// Simulates the node's output numerics in place (identical for the legacy
-// and arena paths; fp16 rounding and fake quantization are idempotent, so
-// applying them over an aliased buffer matches the copy-then-round oracle).
-void ApplyOutputNumerics(NumericsMode mode, const QuantParams& quant,
-                         TensorId output_id, Tensor& out,
-                         const ThreadPool* pool) {
-  switch (mode) {
-    case NumericsMode::kFp32:
-      break;
-    case NumericsMode::kFp16:
-      RoundTensorToHalf(out, pool);
-      break;
-    case NumericsMode::kInt8: {
-      const auto it = quant.activation_ranges.find(output_id);
-      if (it != quant.activation_ranges.end()) {
-        auto vals = out.values();
-        ParallelForRange(
-            vals.size() >= kElementwiseCutoff ? pool : nullptr, 0,
-            static_cast<std::int64_t>(vals.size()),
-            [&](std::int64_t lo, std::int64_t hi) {
-              for (std::int64_t i = lo; i < hi; ++i)
-                vals[static_cast<std::size_t>(i)] = FakeQuantActivation(
-                    vals[static_cast<std::size_t>(i)], it->second,
-                    quant.activation_bits);
-            });
-      }
-      break;
-    }
-  }
+bool IsElementwise(OpType op) {
+  return op == OpType::kAdd || op == OpType::kMul ||
+         op == OpType::kActivation;
 }
 
 // Per-node tracing: one complete span per executed node on the calling
 // thread's lane, guarded by a single relaxed atomic load when disabled so
-// the untraced hot loop keeps its PR-4 cost (bit-identical outputs either
-// way — tracing only reads timestamps, never tensors).
+// the untraced hot loop keeps its cost (bit-identical outputs either way —
+// tracing only reads timestamps, never tensors).
 void TraceNode(obs::TraceRecorder& rec, const Graph& graph, const Node& node,
                const Tensor& out, double t0_us, double t1_us,
-               const MemoryPlan* plan) {
+               const MemoryPlan& plan) {
   std::vector<obs::TraceArg> args;
   args.reserve(3);
   args.push_back(obs::Arg("tensor", graph.tensor(node.output).name));
   args.push_back(obs::Arg("bytes", out.size() * sizeof(float)));
-  if (plan != nullptr) {
-    const TensorPlacement& p =
-        plan->placements()[static_cast<std::size_t>(node.output)];
-    if (p.kind != PlacementKind::kUnplanned)
-      args.push_back(obs::Arg("arena_offset", p.offset * sizeof(float)));
-  }
+  const TensorPlacement& p =
+      plan.placements()[static_cast<std::size_t>(node.output)];
+  if (p.kind != PlacementKind::kUnplanned)
+    args.push_back(obs::Arg("arena_offset", p.offset * sizeof(float)));
   rec.AddComplete(obs::Domain::kHost, {},
                   std::string(graph::ToString(node.op)), t0_us,
                   t1_us - t0_us, std::move(args), "node");
+}
+
+}  // namespace
+
+void Executor::RunNodeRows(const Node& n, const RowBand& in,
+                           const MutableRowBand& out,
+                           const ExecutionContext& ctx) const {
+  switch (n.op) {
+    case OpType::kConv2d:
+      RunConv2dRows(std::get<graph::Conv2dAttrs>(n.attrs), in,
+                    WeightFor(n.weights[0]), WeightFor(n.weights[1]), out,
+                    *kernels_);
+      break;
+    case OpType::kDepthwiseConv2d:
+      RunDepthwiseConv2dRows(std::get<graph::DepthwiseConv2dAttrs>(n.attrs),
+                             in, WeightFor(n.weights[0]),
+                             WeightFor(n.weights[1]), out, *kernels_);
+      break;
+    case OpType::kAvgPool:
+    case OpType::kMaxPool:
+      RunPoolRows(n.op, std::get<graph::PoolAttrs>(n.attrs), in, out);
+      break;
+    case OpType::kAdd:
+    case OpType::kMul: {
+      // The second operand is fully materialized with the output's layout.
+      const RowBand y{Fetch(ctx, n.inputs[1]).data(), 0, out.height,
+                      out.height, out.width, out.channels};
+      RunBinaryRows(n.op, in, y, out);
+      break;
+    }
+    case OpType::kActivation:
+      RunActivationRows(std::get<graph::ActivationAttrs>(n.attrs).activation,
+                        in, out);
+      break;
+    case OpType::kResizeBilinear:
+      RunResizeBilinearRows(in, out);
+      break;
+    default:
+      Expects(false, "op has no row-band kernel");
+  }
+}
+
+void Executor::RunNode(const Node& n, const ExecutionContext& ctx,
+                       Tensor& out, const NodeObserver& observer,
+                       const ThreadPool* pool) const {
+  // Elementwise loops only fork when the tensor is large enough to pay for
+  // the handshake.
+  const ThreadPool* elementwise_pool =
+      out.size() >= kElementwiseCutoff ? pool : nullptr;
+  if (graph::SupportsBoundsInference(n.op)) {
+    // Whole-op execution is the single band covering every output row,
+    // split into per-thread row chunks.  Elementwise ops see any tensor as
+    // a flat band, so their chunks are element ranges.
+    const bool flat = IsElementwise(n.op);
+    const Tensor& x = Fetch(ctx, n.inputs[0]);
+    const RowBand in = flat ? FlatBand(x) : FullBand(x);
+    const RowBand full = flat ? FlatBand(out) : FullBand(out);
+    ParallelForRange(flat ? elementwise_pool : pool, 0, full.rows,
+                     [&](std::int64_t lo, std::int64_t hi) {
+                       RunNodeRows(n, in, BandRows(out.data(), full, lo, hi),
+                                   ctx);
+                     });
+  } else {
+    switch (n.op) {
+      case OpType::kFullyConnected:
+        RunFullyConnected(std::get<graph::FullyConnectedAttrs>(n.attrs),
+                          Fetch(ctx, n.inputs[0]), WeightFor(n.weights[0]),
+                          WeightFor(n.weights[1]), out, *kernels_, pool);
+        break;
+      case OpType::kGlobalAvgPool:
+        RunGlobalAvgPool(Fetch(ctx, n.inputs[0]), out, pool);
+        break;
+      case OpType::kConcat: {
+        std::vector<const Tensor*> ins;
+        ins.reserve(n.inputs.size());
+        for (TensorId t : n.inputs) ins.push_back(&Fetch(ctx, t));
+        RunConcat(std::get<graph::ConcatAttrs>(n.attrs), ins, out);
+        break;
+      }
+      case OpType::kReshape: {
+        const Tensor& x = Fetch(ctx, n.inputs[0]);
+        // Aliased reshape: the output *is* the input buffer.
+        if (x.data() != out.data())
+          std::copy_n(x.data(), x.size(), out.data());
+        break;
+      }
+      case OpType::kSoftmax: {
+        const auto& a = std::get<graph::SoftmaxAttrs>(n.attrs);
+        const auto rank = static_cast<int>(out.shape().rank());
+        Expects(a.axis == -1 || a.axis == rank - 1,
+                "softmax supported on last axis only");
+        RunSoftmaxLastDim(Fetch(ctx, n.inputs[0]), out, pool);
+        break;
+      }
+      case OpType::kLayerNorm:
+        RunLayerNorm(std::get<graph::LayerNormAttrs>(n.attrs),
+                     Fetch(ctx, n.inputs[0]), WeightFor(n.weights[0]),
+                     WeightFor(n.weights[1]), out, pool);
+        break;
+      case OpType::kEmbeddingLookup:
+        RunEmbedding(std::get<graph::EmbeddingAttrs>(n.attrs),
+                     Fetch(ctx, n.inputs[0]), WeightFor(n.weights[0]), out);
+        break;
+      case OpType::kMultiHeadAttention:
+        RunAttention(std::get<graph::AttentionAttrs>(n.attrs),
+                     Fetch(ctx, n.inputs[0]), WeightFor(n.weights[0]),
+                     WeightFor(n.weights[1]), WeightFor(n.weights[2]),
+                     WeightFor(n.weights[3]), out, pool);
+        break;
+      case OpType::kLstm:
+        RunLstm(std::get<graph::LstmAttrs>(n.attrs), Fetch(ctx, n.inputs[0]),
+                WeightFor(n.weights[0]), WeightFor(n.weights[1]),
+                WeightFor(n.weights[2]), out);
+        break;
+      case OpType::kConstant: {
+        // Materialized constant (transform-layer constant folding): the
+        // value lives in the node's single weight tensor.
+        const Tensor& value = WeightFor(n.weights[0]);
+        std::copy_n(value.data(), value.size(), out.data());
+        break;
+      }
+      default:
+        Expects(false, "unsupported op");
+    }
+  }
+
+  if (observer) observer(n.output, out);
+  const TensorRange* range = ActivationRange(n.output);
+  if (mode_ == NumericsMode::kFp32 || (mode_ == NumericsMode::kInt8 && !range))
+    return;
+  ParallelForRange(elementwise_pool, 0, static_cast<std::int64_t>(out.size()),
+                   [&](std::int64_t lo, std::int64_t hi) {
+                     ApplyNumerics(mode_, range, quant_.activation_bits,
+                                   out.data() + lo, hi - lo);
+                   });
 }
 
 // Executes one fused tile segment: the segment's output rows are cut into
@@ -866,34 +629,15 @@ void TraceNode(obs::TraceRecorder& rec, const Graph& graph, const Node& node,
 // walking the chain front-to-back through a per-worker slab that holds only
 // the tile-sized slice of every interior tensor.  Input row ranges come
 // from graph::InferInputBounds walked tail-to-head, so every band reads
-// exactly the rows it needs — bit-identical to whole-op execution because
+// exactly the rows it needs — bit-identical to untiled execution because
 // each output element sees the identical kernel calls on identical data
 // (tiled_ops.h).  `seg_out` is the tail node's full arena view.
-template <typename Fetch>
-void RunTiledSegment(const Graph& g, const TilePlan& plan, std::size_t seg_idx,
-                     const Fetch& fetch,
-                     const std::vector<std::unique_ptr<Tensor>>& prepared,
-                     const std::vector<std::unique_ptr<Tensor>>& dw_packed,
-                     const kernels::KernelTable& kt,
-                     std::array<std::atomic<std::uint64_t>, 3>& dispatch_counts,
-                     NumericsMode mode, const QuantParams& quant,
-                     Tensor& seg_out, const ThreadPool* pool) {
-  const TileSegment& s = plan.segments[seg_idx];
+void Executor::RunTiledSegment(std::size_t seg_idx,
+                               const ExecutionContext& ctx, Tensor& seg_out,
+                               const ThreadPool* pool) const {
+  const Graph& g = graph_;
+  const TileSegment& s = tile_plan_.segments[seg_idx];
   const int n_nodes = static_cast<int>(s.last_node - s.first_node + 1);
-  const auto weight_for = [&](TensorId id) -> const Tensor& {
-    const auto& p = prepared[static_cast<std::size_t>(id)];
-    Expects(p != nullptr, "missing prepared weight");
-    return *p;
-  };
-  // Dispatch counters tick once per node per run (not per tile), matching
-  // the whole-op path so profiles stay comparable.
-  for (std::int32_t m = s.first_node; m <= s.last_node; ++m) {
-    const Node& n = g.nodes()[static_cast<std::size_t>(m)];
-    if (n.op == OpType::kConv2d)
-      dispatch_counts[0].fetch_add(1, std::memory_order_relaxed);
-    else if (n.op == OpType::kDepthwiseConv2d)
-      dispatch_counts[1].fetch_add(1, std::memory_order_relaxed);
-  }
 
   obs::TraceRecorder& rec = obs::TraceRecorder::Global();
   const std::int64_t tiles = s.tile_count();
@@ -926,7 +670,7 @@ void RunTiledSegment(const Graph& g, const TilePlan& plan, std::size_t seg_idx,
         const graph::Interval rows = out_rows[static_cast<std::size_t>(j)];
         RowBand in_band;
         if (j == 0) {
-          in_band = FullBand(fetch(n.inputs[0]));
+          in_band = FullBand(Fetch(ctx, n.inputs[0]));
         } else {
           const graph::TensorShape& ish = g.tensor(n.inputs[0]).shape;
           const graph::Interval in_rows =
@@ -937,10 +681,8 @@ void RunTiledSegment(const Graph& g, const TilePlan& plan, std::size_t seg_idx,
         }
         MutableRowBand out_band;
         if (j == n_nodes - 1) {
-          out_band = MutableRowBand{
-              seg_out.data() + rows.begin * osh.width() * osh.channels(),
-              rows.begin, rows.length(), osh.height(), osh.width(),
-              osh.channels()};
+          out_band = BandRows(seg_out.data(), FullBand(seg_out), rows.begin,
+                              rows.end);
         } else {
           Expects(rows.length() <= s.slab_rows[static_cast<std::size_t>(j)],
                   "tile band exceeds planned slab rows");
@@ -948,43 +690,10 @@ void RunTiledSegment(const Graph& g, const TilePlan& plan, std::size_t seg_idx,
                                     rows.begin, rows.length(), osh.height(),
                                     osh.width(), osh.channels()};
         }
-        switch (n.op) {
-          case OpType::kConv2d:
-            RunConv2dRows(std::get<graph::Conv2dAttrs>(n.attrs), in_band,
-                          weight_for(n.weights[0]), weight_for(n.weights[1]),
-                          out_band, kt);
-            break;
-          case OpType::kDepthwiseConv2d: {
-            const auto& packed =
-                dw_packed[static_cast<std::size_t>(n.weights[0])];
-            Expects(packed != nullptr, "missing packed depthwise weight");
-            RunDepthwiseConv2dRows(
-                std::get<graph::DepthwiseConv2dAttrs>(n.attrs), in_band,
-                *packed, weight_for(n.weights[1]), out_band, kt);
-            break;
-          }
-          case OpType::kAvgPool:
-          case OpType::kMaxPool:
-            RunPoolRows(n.op, std::get<graph::PoolAttrs>(n.attrs), in_band,
-                        out_band);
-            break;
-          case OpType::kAdd:
-          case OpType::kMul:
-            RunBinaryRows(n.op, in_band, FullBand(fetch(n.inputs[1])),
-                          out_band);
-            break;
-          case OpType::kActivation:
-            RunActivationRows(
-                std::get<graph::ActivationAttrs>(n.attrs).activation, in_band,
-                out_band);
-            break;
-          case OpType::kResizeBilinear:
-            RunResizeBilinearRows(in_band, out_band);
-            break;
-          default:
-            Expects(false, "unsupported op in tile segment");
-        }
-        ApplyNumericsRows(mode, quant, n.output, out_band);
+        RunNodeRows(n, in_band, out_band, ctx);
+        ApplyNumerics(mode_, ActivationRange(n.output), quant_.activation_bits,
+                      out_band.data,
+                      out_band.rows * out_band.width * out_band.channels);
       }
       if (traced) {
         std::vector<obs::TraceArg> args;
@@ -998,8 +707,6 @@ void RunTiledSegment(const Graph& g, const TilePlan& plan, std::size_t seg_idx,
     }
   });
 }
-
-}  // namespace
 
 ExecutionContext::ExecutionContext(const Executor& executor)
     : plan_(&executor.memory_plan()),
@@ -1021,61 +728,10 @@ ExecutionContext::ExecutionContext(const Executor& executor)
   }
 }
 
-std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs) const {
-  return Run(inputs, NodeObserver{}, nullptr);
-}
-
 std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
                                   const NodeObserver& observer) const {
-  return Run(inputs, observer, nullptr);
-}
-
-std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
-                                  const NodeObserver& observer,
-                                  const ThreadPool* pool) const {
-  Expects(inputs.size() == graph_.input_ids().size(),
-          "wrong number of graph inputs");
-  std::vector<Tensor> slots(graph_.tensors().size());
-  std::vector<bool> ready(graph_.tensors().size(), false);
-  // Graph inputs are bound as read-only views, never copied into slots:
-  // large image inputs are not duplicated per sample.
-  std::vector<const Tensor*> bound(graph_.tensors().size(), nullptr);
-
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const TensorId id = graph_.input_ids()[i];
-    Expects(inputs[i].shape() == graph_.tensor(id).shape,
-            "input shape mismatch for " + graph_.tensor(id).name);
-    bound[static_cast<std::size_t>(id)] = &inputs[i];
-    ready[static_cast<std::size_t>(id)] = true;
-  }
-
-  const auto fetch = [&](TensorId id) -> const Tensor& {
-    Expects(ready[static_cast<std::size_t>(id)],
-            "use of unready tensor " + graph_.tensor(id).name);
-    if (const Tensor* ext = bound[static_cast<std::size_t>(id)]) return *ext;
-    return slots[static_cast<std::size_t>(id)];
-  };
-
-  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
-  for (const Node& n : graph_.nodes()) {
-    if (n.op == OpType::kInput) continue;
-    const bool traced = rec.enabled();
-    const double t0_us = traced ? rec.NowUs() : 0.0;
-    Tensor out(graph_.tensor(n.output).shape);
-    DispatchNode(graph_, n, fetch, prepared_weights_, dw_packed_weights_,
-                 *kernels_, dispatch_counts_, out, pool);
-    if (observer) observer(n.output, out);
-    ApplyOutputNumerics(mode_, quant_, n.output, out, pool);
-    if (traced)
-      TraceNode(rec, graph_, n, out, t0_us, rec.NowUs(), nullptr);
-    slots[static_cast<std::size_t>(n.output)] = std::move(out);
-    ready[static_cast<std::size_t>(n.output)] = true;
-  }
-
-  std::vector<Tensor> outputs;
-  outputs.reserve(graph_.output_ids().size());
-  for (TensorId id : graph_.output_ids()) outputs.push_back(fetch(id));
-  return outputs;
+  ExecutionContext ctx(*this);
+  return Run(inputs, ctx, observer);
 }
 
 std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
@@ -1086,9 +742,8 @@ std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
           "execution context belongs to a different executor");
   Expects(inputs.size() == graph_.input_ids().size(),
           "wrong number of graph inputs");
-  // Observed runs (calibration) need every full intermediate, which tiled
-  // segments never materialize — fall back to the whole-op oracle path.
-  if (tiled() && observer) return Run(inputs, observer, pool);
+  Expects(!(tiled() && observer),
+          "observed runs need every intermediate; use an untiled executor");
   std::fill(ctx.external_.begin(), ctx.external_.end(), nullptr);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const TensorId id = graph_.input_ids()[i];
@@ -1097,69 +752,89 @@ std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
     ctx.external_[static_cast<std::size_t>(id)] = &inputs[i];
   }
 
-  const auto fetch = [&](TensorId id) -> const Tensor& {
-    if (const Tensor* ext = ctx.external_[static_cast<std::size_t>(id)])
-      return *ext;
-    const Tensor& slot = ctx.slots_[static_cast<std::size_t>(id)];
-    Expects(slot.is_view(),
-            "use of unplanned tensor " + graph_.tensor(id).name);
-    return slot;
-  };
-
   obs::TraceRecorder& rec = obs::TraceRecorder::Global();
   const auto& nodes = graph_.nodes();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const Node& n = nodes[i];
     if (n.op == OpType::kInput) continue;
-    if (tiled()) {
-      const std::int32_t seg = tile_plan_.segment_of_node[i];
-      if (seg >= 0) {
-        // Segment head: run the whole fused chain tile-by-tile, then jump
-        // past its tail (interiors never execute as standalone nodes).
-        const TileSegment& s =
-            tile_plan_.segments[static_cast<std::size_t>(seg)];
-        const bool traced = rec.enabled();
-        const double t0_us = traced ? rec.NowUs() : 0.0;
-        const Node& tail = nodes[static_cast<std::size_t>(s.last_node)];
-        Tensor& seg_out = ctx.slots_[static_cast<std::size_t>(tail.output)];
-        RunTiledSegment(graph_, tile_plan_, static_cast<std::size_t>(seg),
-                        fetch, prepared_weights_, dw_packed_weights_,
-                        *kernels_, dispatch_counts_, mode_, quant_, seg_out,
-                        pool);
-        if (traced) {
-          std::vector<obs::TraceArg> args;
-          args.reserve(3);
-          args.push_back(
-              obs::Arg("tensor", graph_.tensor(tail.output).name));
-          args.push_back(obs::Arg("nodes", static_cast<int>(
-                                               s.last_node - s.first_node +
-                                               1)));
-          args.push_back(
-              obs::Arg("tiles", static_cast<int>(s.tile_count())));
-          rec.AddComplete(obs::Domain::kHost, {}, "tiled_segment", t0_us,
-                          rec.NowUs() - t0_us, std::move(args), "node");
-        }
-        i = static_cast<std::size_t>(s.last_node);
-        continue;
-      }
-    }
     const bool traced = rec.enabled();
     const double t0_us = traced ? rec.NowUs() : 0.0;
-    Tensor& out = ctx.slots_[static_cast<std::size_t>(n.output)];
-    DispatchNode(graph_, n, fetch, prepared_weights_, dw_packed_weights_,
-                 *kernels_, dispatch_counts_, out, pool);
-    if (observer) observer(n.output, out);
-    ApplyOutputNumerics(mode_, quant_, n.output, out, pool);
-    if (traced)
-      TraceNode(rec, graph_, n, out, t0_us, rec.NowUs(), ctx.plan_);
+    const std::int32_t seg = tiled() ? tile_plan_.segment_of_node[i] : -1;
+    // A segment head runs the whole fused chain tile-by-tile; its interior
+    // nodes never execute standalone.
+    const std::size_t last =
+        seg >= 0 ? static_cast<std::size_t>(
+                       tile_plan_.segments[static_cast<std::size_t>(seg)]
+                           .last_node)
+                 : i;
+    Tensor& out = ctx.slots_[static_cast<std::size_t>(nodes[last].output)];
+    if (seg >= 0)
+      RunTiledSegment(static_cast<std::size_t>(seg), ctx, out, pool);
+    else
+      RunNode(n, ctx, out, observer, pool);
+    // Dispatch counters tick once per node per run (not per tile or
+    // chunk), so tiled and untiled profiles stay comparable.
+    for (std::size_t m = i; m <= last; ++m) {
+      switch (nodes[m].op) {
+        case OpType::kConv2d:
+          dispatch_counts_[0].fetch_add(1, std::memory_order_relaxed);
+          break;
+        case OpType::kDepthwiseConv2d:
+          dispatch_counts_[1].fetch_add(1, std::memory_order_relaxed);
+          break;
+        case OpType::kFullyConnected:
+          dispatch_counts_[2].fetch_add(1, std::memory_order_relaxed);
+          break;
+        default:
+          break;
+      }
+    }
+    if (traced) {
+      if (seg >= 0) {
+        const TileSegment& s =
+            tile_plan_.segments[static_cast<std::size_t>(seg)];
+        std::vector<obs::TraceArg> args;
+        args.reserve(3);
+        args.push_back(
+            obs::Arg("tensor", graph_.tensor(nodes[last].output).name));
+        args.push_back(obs::Arg("nodes", static_cast<int>(last - i + 1)));
+        args.push_back(obs::Arg("tiles", static_cast<int>(s.tile_count())));
+        rec.AddComplete(obs::Domain::kHost, {}, "tiled_segment", t0_us,
+                        rec.NowUs() - t0_us, std::move(args), "node");
+      } else {
+        TraceNode(rec, graph_, n, out, t0_us, rec.NowUs(), plan_);
+      }
+    }
+    i = last;
   }
 
   // Detach outputs from the arena: the caller keeps them, the arena is
   // overwritten by the next sample.
   std::vector<Tensor> outputs;
   outputs.reserve(graph_.output_ids().size());
-  for (TensorId id : graph_.output_ids()) outputs.push_back(fetch(id).Clone());
+  for (TensorId id : graph_.output_ids())
+    outputs.push_back(Fetch(ctx, id).Clone());
   return outputs;
+}
+
+std::vector<std::vector<Tensor>> RunSamplesParallel(
+    const Executor& executor, std::size_t count,
+    const std::function<std::vector<Tensor>(std::size_t)>& inputs_for,
+    const ThreadPool* pool) {
+  std::vector<std::vector<Tensor>> results(count);
+  // One arena context per chunk: each worker allocates its arena once and
+  // reuses it for every sample in its range, so the steady state does no
+  // per-sample activation allocation.
+  ParallelForRange(pool, 0, static_cast<std::int64_t>(count),
+                   [&](std::int64_t lo, std::int64_t hi) {
+                     ExecutionContext ctx = executor.CreateContext();
+                     for (std::int64_t i = lo; i < hi; ++i) {
+                       const auto idx = static_cast<std::size_t>(i);
+                       const std::vector<Tensor> inputs = inputs_for(idx);
+                       results[idx] = executor.Run(inputs, ctx);
+                     }
+                   });
+  return results;
 }
 
 }  // namespace mlpm::infer

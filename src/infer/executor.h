@@ -5,6 +5,13 @@
 // implementation (§3.3): correct, simple, and the source of FP32 ground
 // truth for the teacher-labelled datasets.
 //
+// One execution path: activations live in a preplanned arena
+// (ExecutionContext), and every band-capable op (conv, depthwise, pool,
+// resize, elementwise) runs through the row-band kernels of tiled_ops.h —
+// untiled nodes as one band per thread chunk, tiled segments tile by tile.
+// The independent correctness oracle is the naive per-op reference in
+// tests/reference_ops, not a second implementation here.
+//
 // Numerics modes (paper §5.1/§7.5):
 //   kFp32 — plain float.
 //   kFp16 — weights and every node output rounded through binary16.
@@ -35,6 +42,8 @@ class ThreadPool;
 namespace mlpm::infer {
 
 class Executor;
+struct RowBand;
+struct MutableRowBand;
 
 // Reusable execution state for the arena path: one contiguous activation
 // arena sized by the executor's MemoryPlan, plus prebuilt view tensors for
@@ -93,15 +102,15 @@ class Executor {
   // table (kernels/registry.h): kAuto resolves to the best table the host
   // supports; an unavailable forced ISA falls back to scalar.  Depthwise
   // weights are repacked [C,KH,KW] -> [KH,KW,C] at construction so every
-  // table reads channel-contiguous taps (a pure layout change — the scalar
-  // table remains bit-identical to the pre-registry executor).
+  // table reads channel-contiguous taps (a pure layout change).  Band
+  // kernels are batch-1: a graph with a batch>1 rank-4 activation is
+  // rejected here.
   //
-  // `tiling` (tile_planner.h) opts the arena Run overload into fused tiled
-  // segment execution: fusable conv/dw chains run crop-by-crop through
-  // per-worker slabs instead of materializing full intermediates.  Tiled
-  // execution is bit-identical to whole-op execution for every numerics
-  // mode, kernel table, and thread count (DESIGN.md §15); the legacy
-  // overloads always run whole-op and remain the oracle.
+  // `tiling` (tile_planner.h) opts Run into fused tiled segment execution:
+  // fusable conv/dw chains run crop-by-crop through per-worker slabs
+  // instead of materializing full intermediates.  Tiled execution is
+  // bit-identical to untiled execution for every numerics mode, kernel
+  // table, and thread count (DESIGN.md §15).
   Executor(const graph::Graph& graph, const WeightStore& weights,
            NumericsMode mode = NumericsMode::kFp32,
            const QuantParams* quant = nullptr,
@@ -109,31 +118,29 @@ class Executor {
            const TileOptions& tiling = {});
 
   // Runs the graph; `inputs` must match graph.input_ids() in order and
-  // shape.  Returns one tensor per graph output.
-  [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs) const;
-
-  // As Run, but invokes `observer` on every node output (pre-quantization).
-  [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs,
-                                        const NodeObserver& observer) const;
-
-  // As above, additionally parallelizing kernels over independent output
-  // elements on `pool` (may be null).  Results are bit-identical to the
-  // serial overloads for any thread count: each output element is computed
-  // by exactly one thread with the same per-element operation order, and no
-  // cross-thread reductions exist.  The observer runs on the calling thread.
-  [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs,
-                                        const NodeObserver& observer,
-                                        const ThreadPool* pool) const;
-
-  // Arena execution: activations live in `ctx`'s preplanned arena instead
-  // of per-node heap allocations; graph inputs are bound as read-only
-  // views (never copied).  Bit-identical to the legacy overloads above for
-  // every numerics mode and thread count.  `ctx` must have been created
-  // from this executor; reuse it across calls on one thread.
+  // shape.  Returns one tensor per graph output.  Activations live in
+  // `ctx`'s preplanned arena; graph inputs are bound as read-only views
+  // (never copied).  `ctx` must have been created from this executor;
+  // reuse it across calls on one thread.
+  //
+  // `observer`, when set, is invoked on every node output
+  // (pre-quantization) on the calling thread.  Observed runs need every
+  // full intermediate, which tiled segments never materialize, so an
+  // observed run on a tiled executor is rejected (calibration builds its
+  // own untiled executor).
+  //
+  // Kernels parallelize over independent output rows/elements on `pool`
+  // (may be null).  Results are bit-identical for any thread count: each
+  // output element is computed by exactly one thread with the same
+  // per-element operation order, and no cross-thread reductions exist.
   [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs,
                                         ExecutionContext& ctx,
                                         const NodeObserver& observer = {},
                                         const ThreadPool* pool = nullptr) const;
+
+  // Convenience: runs serially through a fresh context.
+  [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs,
+                                        const NodeObserver& observer = {}) const;
 
   [[nodiscard]] ExecutionContext CreateContext() const {
     return ExecutionContext(*this);
@@ -159,6 +166,21 @@ class Executor {
 
  private:
   [[nodiscard]] const Tensor& WeightFor(graph::TensorId id) const;
+  // The calibrated range an INT8 run fake-quantizes `id` to, or nullptr.
+  [[nodiscard]] const TensorRange* ActivationRange(graph::TensorId id) const;
+  [[nodiscard]] const Tensor& Fetch(const ExecutionContext& ctx,
+                                    graph::TensorId id) const;
+  // Output rows [out.origin, out.origin + out.rows) of band-capable node
+  // `n` from `in`, the band of its first input.
+  void RunNodeRows(const graph::Node& n, const RowBand& in,
+                   const MutableRowBand& out,
+                   const ExecutionContext& ctx) const;
+  // One untiled node into `out`, including its output numerics.
+  void RunNode(const graph::Node& n, const ExecutionContext& ctx, Tensor& out,
+               const NodeObserver& observer, const ThreadPool* pool) const;
+  // One fused tile segment, written into its tail node's arena view.
+  void RunTiledSegment(std::size_t seg_idx, const ExecutionContext& ctx,
+                       Tensor& seg_out, const ThreadPool* pool) const;
 
   const graph::Graph& graph_;
   NumericsMode mode_;
@@ -167,15 +189,26 @@ class Executor {
   TilePlan tile_plan_;
   MemoryPlan plan_;
   // Weights transformed once for the executor's numerics mode, indexed by
-  // TensorId (nullptr for activation slots).
+  // TensorId (nullptr for activation slots).  Depthwise weights hold the
+  // table's channel-contiguous [KH,KW,C] layout.
   std::vector<std::unique_ptr<Tensor>> prepared_weights_;
   // The runtime-selected kernel table (points at registry-owned statics).
   const kernels::KernelTable* kernels_;
-  // Depthwise weights repacked to the table's channel-contiguous [KH,KW,C]
-  // layout, indexed by weight TensorId (nullptr elsewhere).
-  std::vector<std::unique_ptr<Tensor>> dw_packed_weights_;
   // conv2d / depthwise / fully-connected node executions, in that order.
   mutable std::array<std::atomic<std::uint64_t>, 3> dispatch_counts_{};
 };
+
+// Evaluates `count` independent samples, parallelized over samples when
+// `pool` is non-null: the sample-level fan-out of the accuracy harness.
+// Per-op parallelism inside each sample collapses to inline execution
+// (nested ParallelFor), so one pool serves both regimes without deadlock.
+// `inputs_for(i)` must be safe to call concurrently and returns the
+// sample's input tensors by value.  Output order matches sample order and
+// every tensor is bit-identical to a serial loop (samples are independent;
+// no shared mutable state).
+[[nodiscard]] std::vector<std::vector<Tensor>> RunSamplesParallel(
+    const Executor& executor, std::size_t count,
+    const std::function<std::vector<Tensor>(std::size_t)>& inputs_for,
+    const ThreadPool* pool);
 
 }  // namespace mlpm::infer

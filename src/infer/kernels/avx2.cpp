@@ -2,12 +2,9 @@
 // only (see src/infer/CMakeLists.txt); the registry dispatches here when the
 // host CPU advertises both features.
 //
-// Exactness: the u8 kernels accumulate widened products in 32-bit lanes and
-// reduce with wrapping adds — modulo-2^32 arithmetic is associative, so any
-// lane order gives the same bits as the scalar oracle.  The f32 kernels use
-// 8-lane FMA accumulators, which reassociates the sum and fuses the
-// round step, so they match the oracle only within the documented relative
-// tolerance (DESIGN.md §13).
+// Exactness: the f32 kernels use 8-lane FMA accumulators, which
+// reassociates the sum and fuses the round step, so they match the scalar
+// table only within the documented relative tolerance (DESIGN.md §13).
 #include "infer/kernels/registry.h"
 
 #if defined(MLPM_KERNELS_HAVE_AVX2)
@@ -29,16 +26,6 @@ inline float Hsum256(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-// Wrapping (mod 2^32) horizontal sum of the eight 32-bit lanes.
-inline std::uint32_t HsumEpi32(__m256i v) {
-  __m128i lo = _mm256_castsi256_si128(v);
-  __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
-  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
-}
-
 inline float DotF32(const float* x, const float* y, std::size_t k) {
   __m256 acc = _mm256_setzero_ps();
   std::size_t i = 0;
@@ -46,46 +33,6 @@ inline float DotF32(const float* x, const float* y, std::size_t k) {
     acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i), acc);
   float s = Hsum256(acc);
   for (; i < k; ++i) s += x[i] * y[i];
-  return s;
-}
-
-// u8·u8 dot product mod 2^32.  16 bytes per step: widen both operands to
-// u16 (values <= 255 so i16 is exact), _mm256_madd_epi16 multiplies and adds
-// adjacent pairs into 32-bit lanes (pair sums <= 2*255*255, no overflow),
-// then wrapping 32-bit adds accumulate — bit-exact vs the scalar oracle.
-inline std::uint32_t DotU8(const std::uint8_t* x, const std::uint8_t* y,
-                           std::size_t k) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= k; i += 16) {
-    const __m256i xv = _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
-    const __m256i yv = _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xv, yv));
-  }
-  std::uint32_t s = HsumEpi32(acc);
-  for (; i < k; ++i)
-    s += static_cast<std::uint32_t>(x[i]) * static_cast<std::uint32_t>(y[i]);
-  return s;
-}
-
-// Sum of a u8 row via psadbw (sum of absolute differences against zero),
-// which adds each group of 8 bytes into a 64-bit lane — exact.
-inline std::uint32_t RowSumU8(const std::uint8_t* row, std::size_t k) {
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 32 <= k; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, zero));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint32_t s = static_cast<std::uint32_t>(lanes[0] + lanes[1] +
-                                               lanes[2] + lanes[3]);
-  for (; i < k; ++i) s += row[i];
   return s;
 }
 
@@ -156,28 +103,6 @@ void GemmF32RowsAvx2(const float* a, const float* b_t, std::int64_t i_begin,
   }
 }
 
-void GemmU8RowsAvx2(const std::uint8_t* a, const std::uint8_t* b_t,
-                    std::int64_t i_begin, std::int64_t i_end, std::size_t n,
-                    std::size_t k, std::uint32_t a_zp, std::uint32_t b_zp,
-                    const std::uint32_t* b_sums, std::int32_t* c) {
-  const std::uint32_t kzz = static_cast<std::uint32_t>(k) * a_zp * b_zp;
-  for (std::int64_t i = i_begin; i < i_end; ++i) {
-    const std::uint8_t* ai = a + static_cast<std::size_t>(i) * k;
-    const std::uint32_t base = kzz - b_zp * RowSumU8(ai, k);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint32_t s = DotU8(ai, b_t + j * k, k);
-      c[static_cast<std::size_t>(i) * n + j] =
-          static_cast<std::int32_t>(s + base - a_zp * b_sums[j]);
-    }
-  }
-}
-
-void RowSumsU8Avx2(const std::uint8_t* b_t, std::int64_t j_begin,
-                   std::int64_t j_end, std::size_t k, std::uint32_t* sums) {
-  for (std::int64_t j = j_begin; j < j_end; ++j)
-    sums[j] = RowSumU8(b_t + static_cast<std::size_t>(j) * k, k);
-}
-
 void Dot4F32Avx2(const float* x, const float* w0, const float* w1,
                  const float* w2, const float* w3, std::int64_t len,
                  float* acc) {
@@ -220,9 +145,9 @@ void DwMaddF32Avx2(const float* x, const float* w, float* acc,
 }  // namespace
 
 const KernelTable* Avx2KernelsOrNull() {
-  static constexpr KernelTable kTable = {
-      KernelIsa::kAvx2, "avx2",      GemmF32RowsAvx2, GemmU8RowsAvx2,
-      RowSumsU8Avx2,    Dot4F32Avx2, DwMaddF32Avx2};
+  static constexpr KernelTable kTable = {KernelIsa::kAvx2, "avx2",
+                                         GemmF32RowsAvx2, Dot4F32Avx2,
+                                         DwMaddF32Avx2};
   return &kTable;
 }
 

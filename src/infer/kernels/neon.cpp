@@ -2,10 +2,9 @@
 // builds only; ASIMD is architecturally mandatory there, but the registry
 // still confirms it via HWCAP before dispatching here.
 //
-// Exactness mirrors avx2.cpp: u8 kernels widen to u16 products (exact) and
-// accumulate with wrapping 32-bit adds — bit-identical to the scalar oracle
-// mod 2^32; f32 kernels reassociate across 4 lanes and fuse with vfmaq, so
-// they match the oracle within the documented tolerance only.
+// Exactness mirrors avx2.cpp: the f32 kernels reassociate across 4 lanes
+// and fuse with vfmaq, so they match the scalar table within the documented
+// tolerance only.
 #include "infer/kernels/registry.h"
 
 #if defined(MLPM_KERNELS_HAVE_NEON) && defined(__aarch64__)
@@ -25,34 +24,6 @@ inline float DotF32(const float* x, const float* y, std::size_t k) {
     acc = vfmaq_f32(acc, vld1q_f32(x + i), vld1q_f32(y + i));
   float s = vaddvq_f32(acc);
   for (; i < k; ++i) s += x[i] * y[i];
-  return s;
-}
-
-// 16 bytes per step: vmull_u8 produces exact u16 products, vpadalq_u16
-// pairwise-accumulates them into wrapping u32 lanes — exact mod 2^32.
-inline std::uint32_t DotU8(const std::uint8_t* x, const std::uint8_t* y,
-                           std::size_t k) {
-  uint32x4_t acc = vdupq_n_u32(0);
-  std::size_t i = 0;
-  for (; i + 16 <= k; i += 16) {
-    const uint8x16_t xv = vld1q_u8(x + i);
-    const uint8x16_t yv = vld1q_u8(y + i);
-    acc = vpadalq_u16(acc, vmull_u8(vget_low_u8(xv), vget_low_u8(yv)));
-    acc = vpadalq_u16(acc, vmull_u8(vget_high_u8(xv), vget_high_u8(yv)));
-  }
-  std::uint32_t s = vaddvq_u32(acc);
-  for (; i < k; ++i)
-    s += static_cast<std::uint32_t>(x[i]) * static_cast<std::uint32_t>(y[i]);
-  return s;
-}
-
-inline std::uint32_t RowSumU8(const std::uint8_t* row, std::size_t k) {
-  uint32x4_t acc = vdupq_n_u32(0);
-  std::size_t i = 0;
-  for (; i + 16 <= k; i += 16)
-    acc = vpadalq_u16(acc, vpaddlq_u8(vld1q_u8(row + i)));
-  std::uint32_t s = vaddvq_u32(acc);
-  for (; i < k; ++i) s += row[i];
   return s;
 }
 
@@ -121,28 +92,6 @@ void GemmF32RowsNeon(const float* a, const float* b_t, std::int64_t i_begin,
   }
 }
 
-void GemmU8RowsNeon(const std::uint8_t* a, const std::uint8_t* b_t,
-                    std::int64_t i_begin, std::int64_t i_end, std::size_t n,
-                    std::size_t k, std::uint32_t a_zp, std::uint32_t b_zp,
-                    const std::uint32_t* b_sums, std::int32_t* c) {
-  const std::uint32_t kzz = static_cast<std::uint32_t>(k) * a_zp * b_zp;
-  for (std::int64_t i = i_begin; i < i_end; ++i) {
-    const std::uint8_t* ai = a + static_cast<std::size_t>(i) * k;
-    const std::uint32_t base = kzz - b_zp * RowSumU8(ai, k);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint32_t s = DotU8(ai, b_t + j * k, k);
-      c[static_cast<std::size_t>(i) * n + j] =
-          static_cast<std::int32_t>(s + base - a_zp * b_sums[j]);
-    }
-  }
-}
-
-void RowSumsU8Neon(const std::uint8_t* b_t, std::int64_t j_begin,
-                   std::int64_t j_end, std::size_t k, std::uint32_t* sums) {
-  for (std::int64_t j = j_begin; j < j_end; ++j)
-    sums[j] = RowSumU8(b_t + static_cast<std::size_t>(j) * k, k);
-}
-
 void Dot4F32Neon(const float* x, const float* w0, const float* w1,
                  const float* w2, const float* w3, std::int64_t len,
                  float* acc) {
@@ -184,9 +133,9 @@ void DwMaddF32Neon(const float* x, const float* w, float* acc,
 }  // namespace
 
 const KernelTable* NeonKernelsOrNull() {
-  static constexpr KernelTable kTable = {
-      KernelIsa::kNeon, "neon",      GemmF32RowsNeon, GemmU8RowsNeon,
-      RowSumsU8Neon,    Dot4F32Neon, DwMaddF32Neon};
+  static constexpr KernelTable kTable = {KernelIsa::kNeon, "neon",
+                                         GemmF32RowsNeon, Dot4F32Neon,
+                                         DwMaddF32Neon};
   return &kTable;
 }
 

@@ -1,9 +1,8 @@
-// Portable scalar microkernels — the fallback table and the bit-exactness
-// oracle.  The GEMM row workers are the register-tiled kernels that used to
-// live in int8_gemm.cpp, moved here verbatim; dot4_f32 and dw_madd_f32
-// reproduce the executor's original conv/FC/depthwise accumulation order
-// element for element, so a forced scalar run matches the pre-registry
-// engine bit for bit.
+// Portable scalar microkernels — the fallback table.  Every kernel keeps
+// the naive loop's per-element accumulation order (the GEMM row worker is
+// register-tiled but sums each output's k terms in increasing order;
+// dot4_f32 and dw_madd_f32 add bias-first, term by term), so a forced
+// scalar run is bit-identical to the naive reference in tests/.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -97,109 +96,8 @@ void GemmF32RowsPortable(const float* a, const float* b_t,
   }
 }
 
-// The integer kernel folds the zero points out of the inner loop:
-//   sum_k (a-az)(b-bz) = sum_k a*b - az*sum_k b - bz*sum_k a + k*az*bz.
-// All arithmetic runs modulo 2^32 in uint32 (the final value fits int32
-// exactly as in the reference kernel; C++20 defines the modular
-// unsigned->signed conversion), leaving a plain u8*u8 dot product inside.
-void GemmU8RowsPortable(const std::uint8_t* a, const std::uint8_t* b_t,
-                        std::int64_t i_begin, std::int64_t i_end,
-                        std::size_t n, std::size_t k, std::uint32_t a_zp,
-                        std::uint32_t b_zp, const std::uint32_t* b_sums,
-                        std::int32_t* c) {
-  const std::uint32_t kzz =
-      static_cast<std::uint32_t>(k) * a_zp * b_zp;
-  const auto row_sum = [k](const std::uint8_t* row) {
-    std::uint32_t s = 0;
-    for (std::size_t kk = 0; kk < k; ++kk) s += row[kk];
-    return s;
-  };
-  std::int64_t i = i_begin;
-  for (; i + static_cast<std::int64_t>(kTile) <= i_end; i += kTile) {
-    const std::uint8_t* a0 = a + static_cast<std::size_t>(i) * k;
-    const std::uint8_t* a1 = a0 + k;
-    const std::uint8_t* a2 = a1 + k;
-    const std::uint8_t* a3 = a2 + k;
-    const std::uint32_t base0 = kzz - b_zp * row_sum(a0);
-    const std::uint32_t base1 = kzz - b_zp * row_sum(a1);
-    const std::uint32_t base2 = kzz - b_zp * row_sum(a2);
-    const std::uint32_t base3 = kzz - b_zp * row_sum(a3);
-    std::size_t j = 0;
-    for (; j + kTile <= n; j += kTile) {
-      const std::uint8_t* b0 = b_t + j * k;
-      const std::uint8_t* b1 = b0 + k;
-      const std::uint8_t* b2 = b1 + k;
-      const std::uint8_t* b3 = b2 + k;
-      std::uint32_t acc[kTile][kTile] = {};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const std::uint32_t av0 = a0[kk], av1 = a1[kk], av2 = a2[kk],
-                            av3 = a3[kk];
-        const std::uint32_t bv0 = b0[kk], bv1 = b1[kk], bv2 = b2[kk],
-                            bv3 = b3[kk];
-        acc[0][0] += av0 * bv0; acc[0][1] += av0 * bv1;
-        acc[0][2] += av0 * bv2; acc[0][3] += av0 * bv3;
-        acc[1][0] += av1 * bv0; acc[1][1] += av1 * bv1;
-        acc[1][2] += av1 * bv2; acc[1][3] += av1 * bv3;
-        acc[2][0] += av2 * bv0; acc[2][1] += av2 * bv1;
-        acc[2][2] += av2 * bv2; acc[2][3] += av2 * bv3;
-        acc[3][0] += av3 * bv0; acc[3][1] += av3 * bv1;
-        acc[3][2] += av3 * bv2; acc[3][3] += av3 * bv3;
-      }
-      const std::uint32_t bases[kTile] = {base0, base1, base2, base3};
-      for (std::size_t r = 0; r < kTile; ++r)
-        for (std::size_t q = 0; q < kTile; ++q)
-          c[(static_cast<std::size_t>(i) + r) * n + j + q] =
-              static_cast<std::int32_t>(acc[r][q] + bases[r] -
-                                        a_zp * b_sums[j + q]);
-    }
-    for (; j < n; ++j) {
-      const std::uint8_t* bj = b_t + j * k;
-      std::uint32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const std::uint32_t bv = bj[kk];
-        s0 += a0[kk] * bv;
-        s1 += a1[kk] * bv;
-        s2 += a2[kk] * bv;
-        s3 += a3[kk] * bv;
-      }
-      const std::uint32_t col = a_zp * b_sums[j];
-      c[static_cast<std::size_t>(i) * n + j] =
-          static_cast<std::int32_t>(s0 + base0 - col);
-      c[static_cast<std::size_t>(i + 1) * n + j] =
-          static_cast<std::int32_t>(s1 + base1 - col);
-      c[static_cast<std::size_t>(i + 2) * n + j] =
-          static_cast<std::int32_t>(s2 + base2 - col);
-      c[static_cast<std::size_t>(i + 3) * n + j] =
-          static_cast<std::int32_t>(s3 + base3 - col);
-    }
-  }
-  for (; i < i_end; ++i) {
-    const std::uint8_t* ai = a + static_cast<std::size_t>(i) * k;
-    const std::uint32_t base = kzz - b_zp * row_sum(ai);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint8_t* bj = b_t + j * k;
-      std::uint32_t s = 0;
-      for (std::size_t kk = 0; kk < k; ++kk)
-        s += static_cast<std::uint32_t>(ai[kk]) * bj[kk];
-      c[static_cast<std::size_t>(i) * n + j] =
-          static_cast<std::int32_t>(s + base - a_zp * b_sums[j]);
-    }
-  }
-}
-
-void RowSumsU8Portable(const std::uint8_t* b_t, std::int64_t j_begin,
-                       std::int64_t j_end, std::size_t k,
-                       std::uint32_t* sums) {
-  for (std::int64_t j = j_begin; j < j_end; ++j) {
-    const std::uint8_t* row = b_t + static_cast<std::size_t>(j) * k;
-    std::uint32_t s = 0;
-    for (std::size_t kk = 0; kk < k; ++kk) s += row[kk];
-    sums[j] = s;
-  }
-}
-
 // Accumulates directly into the four running sums, one element at a time —
-// the exact order of the executor's original 4-output-channel loops.
+// the order of a naive per-output-channel loop.
 void Dot4F32Portable(const float* x, const float* w0, const float* w1,
                      const float* w2, const float* w3, std::int64_t len,
                      float* acc) {
@@ -225,10 +123,9 @@ void DwMaddF32Portable(const float* x, const float* w, float* acc,
 }  // namespace
 
 const KernelTable& ScalarKernels() {
-  static constexpr KernelTable kTable = {
-      KernelIsa::kScalar, "scalar",       GemmF32RowsPortable,
-      GemmU8RowsPortable, RowSumsU8Portable, Dot4F32Portable,
-      DwMaddF32Portable};
+  static constexpr KernelTable kTable = {KernelIsa::kScalar, "scalar",
+                                         GemmF32RowsPortable, Dot4F32Portable,
+                                         DwMaddF32Portable};
   return kTable;
 }
 

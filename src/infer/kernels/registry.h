@@ -1,24 +1,17 @@
 // Runtime-dispatched SIMD microkernel registry.
 //
-// The execution engine's hot inner loops — the f32/u8 GEMM row workers, the
+// The execution engine's hot inner loops — the f32 GEMM row worker, the
 // conv/FC 4-wide dot product, and the depthwise per-tap multiply-accumulate —
 // are reached through a `KernelTable` of function pointers instead of being
 // called directly.  A `KernelRegistry` probes the host CPU once (cpuid-backed
 // `__builtin_cpu_supports` on x86, HWCAP/compile-time on AArch64) and selects
 // the best table: AVX2+FMA, NEON, or the portable scalar implementation.
 //
-// Exactness contract (DESIGN.md §13):
-//   * u8/int8 kernels accumulate in uint32 modular arithmetic, which is
-//     associative and commutative, so EVERY table must produce results
-//     bit-identical to the scalar oracle.  kernel_dispatch_test enforces
-//     this with randomized shapes including remainder rows/columns.
-//   * f32 kernels may reassociate and fuse (FMA), so vectorized tables are
-//     only required to match the scalar oracle within a small relative
-//     tolerance, also enforced by tests.
-//
-// The scalar table is the portable fallback AND the oracle: it reproduces the
-// pre-dispatch arithmetic order exactly, so a forced `--kernel-isa scalar`
-// run is bit-identical to the engine before this registry existed.
+// Exactness contract (DESIGN.md §13): the scalar table keeps the naive
+// per-element accumulation order, so a forced `--kernel-isa scalar` run is
+// bit-identical to the naive reference in tests/reference_ops.  f32 SIMD
+// kernels may reassociate and fuse (FMA), so vectorized tables are only
+// required to match within a small relative tolerance, enforced by tests.
 #pragma once
 
 #include <cstdint>
@@ -62,10 +55,6 @@ struct CpuFeatures {
 //   gemm_f32_rows  C[i,:] = A[i,:] * B^T for i in [i_begin, i_end);
 //                  A is [m,k], B is stored transposed [n,k], C is [m,n].
 //                  Rows are fully overwritten (no accumulation).
-//   gemm_u8_rows   Zero-point-folded u8 GEMM rows: c = (i32)(dot_u8(a_i,b_j)
-//                  + k*az*bz - bz*rowsum(a_i) - az*b_sums[j]), all uint32
-//                  modular arithmetic — bit-exact across ISAs by contract.
-//   row_sums_u8    sums[j] = uint32 sum of B^T row j, j in [j_begin, j_end).
 //   dot4_f32       acc[r] += dot(x, w_r, len) for r in 0..3 — the conv and
 //                  fully-connected 4-output-channel inner loop.
 //   dw_madd_f32    acc[c] += x[c] * w[c] for c in [0, channels) — one
@@ -84,13 +73,6 @@ struct KernelTable {
   void (*gemm_f32_rows)(const float* a, const float* b_t,
                         std::int64_t i_begin, std::int64_t i_end,
                         std::size_t n, std::size_t k, float* c) = nullptr;
-  void (*gemm_u8_rows)(const std::uint8_t* a, const std::uint8_t* b_t,
-                       std::int64_t i_begin, std::int64_t i_end, std::size_t n,
-                       std::size_t k, std::uint32_t a_zp, std::uint32_t b_zp,
-                       const std::uint32_t* b_sums, std::int32_t* c) = nullptr;
-  void (*row_sums_u8)(const std::uint8_t* b_t, std::int64_t j_begin,
-                      std::int64_t j_end, std::size_t k,
-                      std::uint32_t* sums) = nullptr;
   void (*dot4_f32)(const float* x, const float* w0, const float* w1,
                    const float* w2, const float* w3, std::int64_t len,
                    float* acc) = nullptr;
@@ -98,7 +80,7 @@ struct KernelTable {
                       std::int64_t channels) = nullptr;
 };
 
-// The portable table — always present, the bit-exactness oracle.
+// The portable table — always present, and the bit-exact one.
 [[nodiscard]] const KernelTable& ScalarKernels();
 
 // Vectorized tables, or nullptr when the ISA was not compiled into this

@@ -1,8 +1,6 @@
-// Scalar math shared by the whole-op executor and the crop-aware tiled
-// kernels.  Both paths must apply the exact same per-element operations in
-// the exact same order for the tiled engine's bit-identity guarantee
-// (DESIGN.md §15), so the shared pieces live here instead of being
-// duplicated per translation unit.
+// Scalar math shared by the executor's kernels (executor.cpp, tiled_ops.cpp)
+// and the naive reference in tests/, so every path applies one definition
+// of each activation function.
 #pragma once
 
 #include <algorithm>

@@ -1,6 +1,6 @@
 // Tile planner: fusable pipeline segments + cache-budgeted row bands.
 //
-// The whole-op executor runs node by node, so a conv/dw/elementwise chain
+// Untiled execution runs node by node, so a conv/dw/elementwise chain
 // round-trips every intermediate activation through memory at full size.
 // The tile planner groups maximal chains of bounds-inference-capable nodes
 // (graph/bounds.h) into *segments* that the executor runs crop-by-crop:
@@ -26,7 +26,9 @@
 // takes the largest band whose summed slab bytes fit the cache budget,
 // additionally capped so a segment still yields enough tiles to serve as
 // the thread pool's parallel grain.  Results are bit-identical for every
-// band size — the band only moves the compute/locality trade-off.
+// band size — the band only moves the compute/locality trade-off.  The
+// correctness oracle for tiled runs is the naive reference in
+// tests/reference_ops.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/fp16.h"
 #include "graph/bounds.h"
 #include "infer/op_math.h"
 
@@ -25,6 +24,11 @@ RowBand FullBand(const Tensor& t) {
                  s.channels()};
 }
 
+RowBand FlatBand(const Tensor& t) {
+  const auto n = static_cast<std::int64_t>(t.size());
+  return RowBand{t.data(), 0, n, n, 1, 1};
+}
+
 void RunConv2dRows(const graph::Conv2dAttrs& a, const RowBand& in,
                    const Tensor& w, const Tensor& bias,
                    const MutableRowBand& out,
@@ -41,8 +45,7 @@ void RunConv2dRows(const graph::Conv2dAttrs& a, const RowBand& in,
   float* __restrict op = out.data;
 
   // Global output rows; taps are skipped against the *logical* bounds
-  // [0, IH) exactly as the whole-op kernel skips them, and surviving taps
-  // are guaranteed in-slab by bounds inference.
+  // [0, IH), and surviving taps are guaranteed in-slab by bounds inference.
   for (std::int64_t oh = out.origin; oh < out.origin + out.rows; ++oh) {
     for (std::int64_t ow = 0; ow < OW; ++ow) {
       float* out_px = op + ((oh - out.origin) * OW + ow) * OC;
@@ -173,29 +176,27 @@ void RunPoolRows(OpType op, const graph::PoolAttrs& a, const RowBand& in,
 
 void RunBinaryRows(OpType op, const RowBand& x, const RowBand& y,
                    const MutableRowBand& out) {
+  // Elementwise: the band is one contiguous run of rows * width * channels
+  // floats in every operand.
   const std::int64_t row_elems = out.width * out.channels;
-  const bool is_add = op == OpType::kAdd;
-  for (std::int64_t r = out.origin; r < out.origin + out.rows; ++r) {
-    const float* xr = x.data + (r - x.origin) * row_elems;
-    const float* yr = y.data + (r - y.origin) * row_elems;
-    float* orow = out.data + (r - out.origin) * row_elems;
-    if (is_add) {
-      for (std::int64_t j = 0; j < row_elems; ++j) orow[j] = xr[j] + yr[j];
-    } else {
-      for (std::int64_t j = 0; j < row_elems; ++j) orow[j] = xr[j] * yr[j];
-    }
+  const std::int64_t n = out.rows * row_elems;
+  const float* xp = x.data + (out.origin - x.origin) * row_elems;
+  const float* yp = y.data + (out.origin - y.origin) * row_elems;
+  float* op_data = out.data;
+  if (op == OpType::kAdd) {
+    for (std::int64_t i = 0; i < n; ++i) op_data[i] = xp[i] + yp[i];
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) op_data[i] = xp[i] * yp[i];
   }
 }
 
 void RunActivationRows(Activation act, const RowBand& in,
                        const MutableRowBand& out) {
   const std::int64_t row_elems = out.width * out.channels;
-  for (std::int64_t r = out.origin; r < out.origin + out.rows; ++r) {
-    const float* xr = in.data + (r - in.origin) * row_elems;
-    float* orow = out.data + (r - out.origin) * row_elems;
-    for (std::int64_t j = 0; j < row_elems; ++j)
-      orow[j] = ApplyActivation(xr[j], act);
-  }
+  const std::int64_t n = out.rows * row_elems;
+  const float* xp = in.data + (out.origin - in.origin) * row_elems;
+  for (std::int64_t i = 0; i < n; ++i)
+    out.data[i] = ApplyActivation(xp[i], act);
 }
 
 void RunResizeBilinearRows(const RowBand& in, const MutableRowBand& out) {
@@ -230,28 +231,6 @@ void RunResizeBilinearRows(const RowBand& in, const MutableRowBand& out) {
         op[((oh - out.origin) * OW + ow) * C + c] =
             top * (1 - wy) + bot * wy;
       }
-    }
-  }
-}
-
-void ApplyNumericsRows(NumericsMode mode, const QuantParams& quant,
-                       graph::TensorId output_id, const MutableRowBand& out) {
-  const std::int64_t n = out.rows * out.width * out.channels;
-  switch (mode) {
-    case NumericsMode::kFp32:
-      break;
-    case NumericsMode::kFp16:
-      for (std::int64_t i = 0; i < n; ++i)
-        out.data[i] = RoundToHalf(out.data[i]);
-      break;
-    case NumericsMode::kInt8: {
-      const auto it = quant.activation_ranges.find(output_id);
-      if (it != quant.activation_ranges.end())
-        for (std::int64_t i = 0; i < n; ++i)
-          out.data[i] =
-              FakeQuantActivation(out.data[i], it->second,
-                                  quant.activation_bits);
-      break;
     }
   }
 }

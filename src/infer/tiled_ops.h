@@ -1,27 +1,28 @@
-// Crop-aware kernels for tiled segment execution.
+// Row-band kernels: the one implementation of every band-capable op.
 //
 // Each runner computes a *band of output rows* of one NHWC (batch-1) op,
 // reading inputs through RowBand views that expose global coordinates over
 // a partially-materialized buffer (a tile slab holding rows
 // [origin, origin + rows) of the logical tensor, or a fully-materialized
-// tensor with origin 0).
+// tensor with origin 0).  The executor runs an untiled node as a
+// ParallelForRange over output rows of FullBand(input), and a tiled
+// segment as the same calls over slab bands — whole-op execution is the
+// single band covering every row.
 //
-// Bit-identity contract (DESIGN.md §15): every runner mirrors the
-// whole-op executor kernel exactly — bias-first accumulators, the same
-// (kh, kw) tap order, the same dot4/dw_madd microkernel calls keyed on the
-// same absolute output-channel index, taps skipped outside the *logical*
-// tensor bounds (not the slab bounds).  Because each output element is
-// produced by the identical sequence of operations on identical inputs,
-// tiled execution equals whole-op execution bitwise — for every kernel
-// table, including vectorized ones.
+// Bit-identity contract (DESIGN.md §15): each output element's value
+// depends only on its global coordinates — bias-first accumulators, a fixed
+// (kh, kw) tap order, dot4/dw_madd microkernel calls keyed on the absolute
+// output-channel index, taps skipped outside the *logical* tensor bounds
+// (not the slab bounds).  So any row partition (thread chunks, tiles)
+// produces identical bits for every kernel table.  The independent oracle
+// these kernels are checked against is the naive per-op reference in
+// tests/reference_ops.
 #pragma once
 
 #include <cstdint>
 
 #include "graph/ops.h"
-#include "infer/executor.h"
 #include "infer/kernels/registry.h"
-#include "infer/quant_params.h"
 #include "infer/tensor.h"
 
 namespace mlpm::infer {
@@ -54,6 +55,11 @@ struct MutableRowBand {
 // Whole-tensor band over a rank-4 batch-1 tensor.
 [[nodiscard]] RowBand FullBand(const Tensor& t);
 
+// Any tensor as a band of one-element rows: the geometry elementwise ops
+// run on outside tiled segments, so tensors of any rank (MobileBERT's
+// rank-2 activations included) share the elementwise band kernels.
+[[nodiscard]] RowBand FlatBand(const Tensor& t);
+
 // Conv2d over output rows [out.origin, out.origin + out.rows).  `w` is the
 // executor's prepared [OC, KH, KW, IC] weight, `bias` its prepared bias.
 void RunConv2dRows(const graph::Conv2dAttrs& a, const RowBand& in,
@@ -71,21 +77,17 @@ void RunPoolRows(graph::OpType op, const graph::PoolAttrs& a,
                  const RowBand& in, const MutableRowBand& out);
 
 // Elementwise add / mul (op is kAdd or kMul); `y` is the exterior operand,
-// read at the same global rows as the output band.
+// read at the same global rows as the output band.  `out` may alias `x`:
+// each element is read before it is written.
 void RunBinaryRows(graph::OpType op, const RowBand& x, const RowBand& y,
                    const MutableRowBand& out);
 
-// Standalone activation.
+// Standalone activation (`out` may alias `in`).
 void RunActivationRows(graph::Activation act, const RowBand& in,
                        const MutableRowBand& out);
 
 // Bilinear resize over an output row band; half-pixel centers clamped to
-// the logical input, reproducing the whole-op kernel's tap math verbatim.
+// the logical input.
 void RunResizeBilinearRows(const RowBand& in, const MutableRowBand& out);
-
-// Per-node output numerics over just the band (fp16 rounding / activation
-// fake-quant) — elementwise and identical to the whole-op post-pass.
-void ApplyNumericsRows(NumericsMode mode, const QuantParams& quant,
-                       graph::TensorId output_id, const MutableRowBand& out);
 
 }  // namespace mlpm::infer

@@ -79,12 +79,16 @@ TEST_P(Table3Anchor, NnapiIsSlowerButBounded) {
             SingleStreamMs(chip, c.task, models::SuiteVersion::kV1_0));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PaperValues, Table3Anchor,
-    ::testing::Values(
-        Table3Case{models::TaskType::kImageClassification, 2.23, 2.48},
-        Table3Case{models::TaskType::kObjectDetection, 4.77, 5.05},
-        Table3Case{models::TaskType::kImageSegmentation, 20.02, 20.56}));
+// Static storage zero-fills the padding after `task`, so the printed
+// parameter (and with it the registered test name) is the same every run;
+// brace-initialised temporaries passed to Values() leave stack garbage there.
+constexpr Table3Case kTable3Cases[] = {
+    {models::TaskType::kImageClassification, 2.23, 2.48},
+    {models::TaskType::kObjectDetection, 4.77, 5.05},
+    {models::TaskType::kImageSegmentation, 20.02, 20.56}};
+
+INSTANTIATE_TEST_SUITE_P(PaperValues, Table3Anchor,
+                         ::testing::ValuesIn(kTable3Cases));
 
 TEST(OfflineAnchor, Exynos990MatchesPaper674) {
   EXPECT_NEAR(OfflineFps(soc::Exynos990(), models::SuiteVersion::kV0_7),

@@ -8,7 +8,6 @@
 #include "common/fp16.h"
 #include "common/rng.h"
 #include "infer/executor.h"
-#include "infer/int8_gemm.h"
 #include "infer/weights.h"
 
 namespace mlpm::infer {
@@ -437,44 +436,6 @@ TEST(Weights, NormParamsInitializedToIdentity) {
 TEST(Weights, MissingWeightThrows) {
   const WeightStore ws;
   EXPECT_THROW((void)ws.Get("nope"), CheckError);
-}
-
-// ---- int8 gemm ----
-
-TEST(Int8Gemm, MatchesFloatReferenceAfterDequant) {
-  constexpr std::size_t m = 4, n = 5, k = 8;
-  Rng rng(17);
-  std::vector<float> a(m * k), bt(n * k), c_f32(m * n);
-  for (auto& v : a) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
-  for (auto& v : bt) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
-  GemmF32(a, bt, m, n, k, c_f32);
-
-  const float scale = 2.0f / 255.0f;
-  std::vector<std::uint8_t> aq(m * k), bq(n * k);
-  QuantizeU8(a, scale, 128, aq);
-  QuantizeU8(bt, scale, 128, bq);
-  std::vector<std::int32_t> acc(m * n);
-  GemmU8U8I32(aq, 128, bq, 128, m, n, k, acc);
-
-  for (std::size_t i = 0; i < m * n; ++i) {
-    const float deq = DequantizeAcc(acc[i], scale, scale);
-    EXPECT_NEAR(deq, c_f32[i], 0.05f);
-  }
-}
-
-TEST(Int8Gemm, QuantizeClampsToRange) {
-  const std::vector<float> src{-100.0f, 0.0f, 100.0f};
-  std::vector<std::uint8_t> dst(3);
-  QuantizeU8(src, 0.1f, 128, dst);
-  EXPECT_EQ(dst[0], 0);
-  EXPECT_EQ(dst[1], 128);
-  EXPECT_EQ(dst[2], 255);
-}
-
-TEST(Int8Gemm, SizeMismatchThrows) {
-  std::vector<std::uint8_t> a(4), bt(4);
-  std::vector<std::int32_t> c(3);  // wrong
-  EXPECT_THROW(GemmU8U8I32(a, 0, bt, 0, 2, 2, 2, c), CheckError);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Runtime kernel dispatch (DESIGN.md §13): the registry's feature probe,
 // ISA resolution and fallback; the exactness contract of every table the
-// host can run (INT8 bit-identical to the scalar oracle, f32 within a
-// documented tolerance); and the harness-level guarantee that a forced
-// ISA flows through RunOptions into the executors, the result fields and
-// the RUN007 pre-run lint.
+// host can run (scalar bit-identical to the naive reference, vectorized
+// f32 within a documented tolerance); and the harness-level guarantee that
+// a forced ISA flows through RunOptions into the executors, the result
+// fields and the RUN007 pre-run lint.
 //
 // The CI matrix runs this binary with MLPM_KERNEL_ISA=scalar and =auto
 // (and under an -mavx2 build); the env var picks the dispatched side of
@@ -19,12 +19,12 @@
 #include "common/rng.h"
 #include "harness/run_session.h"
 #include "infer/executor.h"
-#include "infer/int8_conv.h"
-#include "infer/int8_gemm.h"
+#include "infer/gemm.h"
 #include "infer/kernels/registry.h"
 #include "infer/weights.h"
 #include "models/mobilenet_edgetpu.h"
 #include "models/zoo.h"
+#include "reference_ops.h"
 
 namespace mlpm {
 namespace {
@@ -38,13 +38,6 @@ std::vector<float> RandomFloats(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<float> v(n);
   for (auto& x : v) x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
-  return v;
-}
-
-std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::uint8_t> v(n);
-  for (auto& x : v) x = static_cast<std::uint8_t>(rng.NextBelow(256));
   return v;
 }
 
@@ -123,35 +116,9 @@ TEST(KernelRegistry, AvailableIsasEndsWithScalar) {
 
 // --- exactness contract -----------------------------------------------------
 
-// INT8 GEMM accumulates in uint32 (mod 2^32): associative and commutative,
-// so any SIMD reordering must reproduce the scalar oracle bit for bit —
-// across random shapes that straddle every tile and remainder path, and
-// random zero points.
-TEST(KernelDispatch, U8GemmBitIdenticalToOracleOnEveryTable) {
-  Rng rng(0xD15);
-  for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas()) {
-    const KernelTable& table = KernelRegistry::Global().Select(isa);
-    for (int trial = 0; trial < 24; ++trial) {
-      const std::size_t m = 1 + rng.NextBelow(17);
-      const std::size_t n = 1 + rng.NextBelow(17);
-      const std::size_t k = 1 + rng.NextBelow(96);
-      const auto a_zp = static_cast<std::uint8_t>(rng.NextBelow(256));
-      const auto b_zp = static_cast<std::uint8_t>(rng.NextBelow(256));
-      const std::vector<std::uint8_t> a = RandomBytes(m * k, 100 + trial);
-      const std::vector<std::uint8_t> b = RandomBytes(n * k, 200 + trial);
-      std::vector<std::int32_t> ref(m * n), got(m * n);
-      infer::GemmU8U8I32Ref(a, a_zp, b, b_zp, m, n, k, ref);
-      infer::GemmU8U8I32(a, a_zp, b, b_zp, m, n, k, got, table);
-      EXPECT_EQ(ref, got)
-          << infer::kernels::ToString(isa) << " m=" << m << " n=" << n
-          << " k=" << k << " a_zp=" << int{a_zp} << " b_zp=" << int{b_zp};
-    }
-  }
-}
-
 // f32 SIMD kernels reassociate the k-loop and contract with FMA; the
 // contract is closeness, not bit-equality.  The scalar table, which keeps
-// the pre-registry arithmetic order, must stay bit-identical.
+// the naive arithmetic order, must stay bit-identical.
 TEST(KernelDispatch, F32GemmWithinToleranceOnEveryTable) {
   Rng rng(0xF32);
   for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas()) {
@@ -163,7 +130,7 @@ TEST(KernelDispatch, F32GemmWithinToleranceOnEveryTable) {
       const std::vector<float> a = RandomFloats(m * k, 300 + trial);
       const std::vector<float> b = RandomFloats(n * k, 400 + trial);
       std::vector<float> ref(m * n), got(m * n);
-      infer::GemmF32Ref(a, b, m, n, k, ref);
+      reference::GemmF32Ref(a, b, m, n, k, ref);
       infer::GemmF32(a, b, m, n, k, got, table);
       const double tol =
           isa == KernelIsa::kScalar
@@ -177,44 +144,13 @@ TEST(KernelDispatch, F32GemmWithinToleranceOnEveryTable) {
   }
 }
 
-// The prepacked INT8 conv lowers to the u8 GEMM, and requantization is
-// shared elementwise code — so a dispatched conv must equal the legacy
-// scalar path bit for bit on every table.
-TEST(KernelDispatch, Int8ConvBitIdenticalToLegacyOnEveryTable) {
-  Rng rng(7);
-  infer::Tensor input(graph::TensorShape({1, 9, 9, 24}));
-  infer::Tensor weights(graph::TensorShape({20, 3, 3, 24}));
-  infer::Tensor bias(graph::TensorShape({20}));
-  for (auto& v : input.values())
-    v = static_cast<float>(rng.NextUniform(-1, 1));
-  for (auto& v : weights.values())
-    v = static_cast<float>(rng.NextUniform(-0.5, 0.5));
-  const infer::QuantizationParams in_q = infer::ChooseQuantParams(-1.0f, 1.0f);
-  const infer::QuantizationParams w_q =
-      infer::ChooseQuantParams(-0.5f, 0.5f);
-  const infer::Tensor legacy = infer::ConvInt8NHWC(
-      input, weights, bias, 1, graph::Padding::kSame, in_q, w_q);
-  const infer::PackedConvWeights packed = infer::PackConvWeights(weights, w_q);
-
-  for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas()) {
-    const KernelTable& table = KernelRegistry::Global().Select(isa);
-    infer::ConvScratch scratch;
-    const infer::Tensor out =
-        infer::ConvInt8NHWC(input, packed, bias, 1, graph::Padding::kSame,
-                            in_q, &scratch, nullptr, &table);
-    ASSERT_EQ(out.size(), legacy.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-      EXPECT_EQ(out.at(i), legacy.at(i))
-          << infer::kernels::ToString(isa) << " i=" << i;
-  }
-}
-
 // --- executor ---------------------------------------------------------------
 
 // Forced-scalar and dispatched executors over a real model (conv +
-// depthwise + FC): same graph, same weights, outputs within f32 tolerance,
-// and the executor reports the table it actually used plus non-zero
-// dispatch counts for every kernel class the model contains.
+// depthwise + FC) against the naive reference: scalar bit-identical,
+// dispatched within f32 tolerance; and the executor reports the table it
+// actually used plus non-zero dispatch counts for every kernel class the
+// model contains.
 TEST(KernelDispatch, ExecutorScalarVsAutoWithinTolerance) {
   const graph::Graph g =
       models::BuildMobileNetEdgeTpu(models::ModelScale::kMini);
@@ -231,15 +167,11 @@ TEST(KernelDispatch, ExecutorScalarVsAutoWithinTolerance) {
   Rng rng(3);
   for (auto& v : input.values()) v = static_cast<float>(rng.NextDouble());
   const std::vector<infer::Tensor> inputs{input};
+  const auto oracle = reference::RunReference(g, w, inputs);
   const auto out_s = scalar.Run(inputs);
   const auto out_a = autod.Run(inputs);
-  ASSERT_EQ(out_s.size(), out_a.size());
-  for (std::size_t o = 0; o < out_s.size(); ++o) {
-    ASSERT_EQ(out_s[o].size(), out_a[o].size());
-    for (std::size_t i = 0; i < out_s[o].size(); ++i)
-      EXPECT_NEAR(out_s[o].at(i), out_a[o].at(i), 5e-3) << "o=" << o
-                                                        << " i=" << i;
-  }
+  EXPECT_EQ(reference::MaxAbsDiff(oracle, out_s), 0.0);
+  EXPECT_LE(reference::MaxAbsDiff(oracle, out_a), 5e-3);
 
   const infer::KernelDispatchCounts counts = autod.dispatch_counts();
   EXPECT_GT(counts.conv2d, 0u);
@@ -247,9 +179,8 @@ TEST(KernelDispatch, ExecutorScalarVsAutoWithinTolerance) {
   EXPECT_GT(counts.fully_connected, 0u);
 }
 
-// With the scalar table forced, the dispatched executor must reproduce the
-// pre-registry arithmetic order — bit-identical to the default-constructed
-// executor's output.
+// Two independently built forced-scalar executors agree bit for bit: the
+// prepack and dispatch carry no hidden state.
 TEST(KernelDispatch, ForcedScalarExecutorIsBitIdenticalToItself) {
   const graph::Graph g =
       models::BuildMobileNetEdgeTpu(models::ModelScale::kMini);

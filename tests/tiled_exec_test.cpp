@@ -3,9 +3,10 @@
 // Two contracts are checked here.  Structural: bounds inference returns
 // exactly the input box the kernels read; the planner's crops partition
 // every segment output with no gap or overlap and never outgrow their
-// slabs.  Behavioural: tiled execution is bit-identical to the whole-op
-// oracle (the legacy Run overloads) for every reference model, numerics
-// mode, kernel table, and thread count — and the tile-aware memory plan
+// slabs.  Behavioural: tiled execution is bit-identical to untiled
+// execution for every reference model, numerics mode, kernel table, and
+// thread count, and under the scalar table both are bit-identical to the
+// naive reference (reference_ops.h) — and the tile-aware memory plan
 // strictly shrinks the packed arena on every model with a fusable segment.
 #include <cstdint>
 #include <string>
@@ -25,6 +26,7 @@
 #include "infer/weights.h"
 #include "models/zoo.h"
 #include "quant/calibration.h"
+#include "reference_ops.h"
 
 namespace mlpm {
 namespace {
@@ -344,14 +346,15 @@ TEST(TiledMemoryPlan, IntervalBytesCoverArenaBuffersAndSlabs) {
   EXPECT_EQ(slab_intervals, interiors);
 }
 
-// --- Tiled execution vs the whole-op oracle --------------------------------
+// --- Tiled execution vs the oracle ------------------------------------------
 
 // The equivalence matrix the acceptance criteria name: every v1.0 reference
 // model x {fp32, fp16, int8} x {scalar, auto ISA} x {serial, 4 threads},
-// tiled (auto band and a deliberately awkward 3-row band) vs the legacy
-// whole-op overload of the *same* executor, which ignores tiling and is the
-// oracle.  INT8 must be bitwise; fp32/fp16 are too, because tiled kernels
-// perform identical per-element operations in identical order.
+// tiled (auto band and a deliberately awkward 3-row band).  Under the
+// scalar table the oracle is the naive reference; under the dispatched
+// table it is an untiled executor on the same table.  Both comparisons are
+// bitwise for every numerics mode, because the tiled and untiled paths run
+// the same band kernels with identical per-element operations.
 TEST(TiledExecution, BitIdenticalToWholeOpOracleEverywhere) {
   ThreadPool pool(4);
   for (const models::BenchmarkEntry& e :
@@ -363,19 +366,24 @@ TEST(TiledExecution, BitIdenticalToWholeOpOracleEverywhere) {
                                                         GraphInputs(g, 2)};
     const infer::QuantParams qp = quant::CalibratePtq(g, w, samples);
 
-    for (const infer::kernels::KernelIsa isa :
-         {infer::kernels::KernelIsa::kScalar,
-          infer::kernels::KernelIsa::kAuto}) {
-      for (const infer::NumericsMode mode :
-           {infer::NumericsMode::kFp32, infer::NumericsMode::kFp16,
-            infer::NumericsMode::kInt8}) {
+    for (const infer::NumericsMode mode :
+         {infer::NumericsMode::kFp32, infer::NumericsMode::kFp16,
+          infer::NumericsMode::kInt8}) {
+      const infer::QuantParams* q =
+          mode == infer::NumericsMode::kInt8 ? &qp : nullptr;
+      const auto naive = reference::RunReference(g, w, inputs, mode, q);
+      for (const infer::kernels::KernelIsa isa :
+           {infer::kernels::KernelIsa::kScalar,
+            infer::kernels::KernelIsa::kAuto}) {
+        const auto oracle =
+            isa == infer::kernels::KernelIsa::kScalar
+                ? naive
+                : infer::Executor(g, w, mode, q, isa).Run(inputs);
         for (const std::int64_t rows : {std::int64_t{-1}, std::int64_t{3}}) {
           infer::TileOptions opt;
           opt.enabled = true;
           opt.rows = rows;
-          const infer::Executor exec(
-              g, w, mode,
-              mode == infer::NumericsMode::kInt8 ? &qp : nullptr, isa, opt);
+          const infer::Executor exec(g, w, mode, q, isa, opt);
           const std::string what = e.id + "/" +
                                    std::string(ToString(mode)) + "/isa" +
                                    std::to_string(static_cast<int>(isa)) +
@@ -384,7 +392,6 @@ TEST(TiledExecution, BitIdenticalToWholeOpOracleEverywhere) {
             ASSERT_TRUE(exec.tiled()) << what;
           }
 
-          const auto oracle = exec.Run(inputs);  // legacy = whole-op
           infer::ExecutionContext ctx = exec.CreateContext();
           // Twice through one context: stale slab or arena state from the
           // first tiled run would surface in the second.
@@ -398,9 +405,9 @@ TEST(TiledExecution, BitIdenticalToWholeOpOracleEverywhere) {
   }
 }
 
-// Tiling plus an observer falls back to whole-op execution (calibration
-// needs full intermediates), still bit-identical and still arena-backed.
-TEST(TiledExecution, ObserverRunsFallBackToWholeOp) {
+// Tiled segments never materialize their interiors, so an observed run
+// (calibration needs every full intermediate) is rejected up front.
+TEST(TiledExecution, ObservedRunOnTiledExecutorThrows) {
   const auto e = models::SuiteFor(models::SuiteVersion::kV1_0)[0];
   const graph::Graph g = MiniModel(e);
   const infer::WeightStore w = infer::InitializeWeights(g, 7);
@@ -409,17 +416,87 @@ TEST(TiledExecution, ObserverRunsFallBackToWholeOp) {
   const infer::Executor exec(g, w, infer::NumericsMode::kFp32, nullptr,
                              infer::kernels::KernelIsa::kAuto, opt);
   ASSERT_TRUE(exec.tiled());
-  const auto inputs = GraphInputs(g, 11);
-  const auto oracle = exec.Run(inputs);
-  infer::ExecutionContext ctx = exec.CreateContext();
-  std::size_t observed = 0;
-  const auto observer = [&](graph::TensorId, const infer::Tensor&) {
-    ++observed;
-  };
-  ExpectBitIdentical(oracle, exec.Run(inputs, ctx, observer), "observer");
-  // The observer saw every node, including segment interiors — proof the
-  // run went through the whole-op path.
-  EXPECT_EQ(observed, g.nodes().size());
+  EXPECT_THROW(
+      (void)exec.Run(GraphInputs(g, 11),
+                     [](graph::TensorId, const infer::Tensor&) {}),
+      CheckError);
+}
+
+// Seeded property over the band kernels in the shapes that stress their
+// edges: output channels not a multiple of the dot4 block, stride 2,
+// dilation 2, SAME and VALID padding, and a resize whose taps straddle
+// band boundaries.  Each random conv -> depthwise -> pool -> resize chain
+// runs untiled and tiled (1- and 2-row bands), serial and threaded, on
+// every available kernel table: bitwise equal to the naive reference under
+// the scalar table, within the f32 tolerance elsewhere, and bitwise equal
+// across tilings and thread counts on every table.
+TEST(TiledExecution, RandomBandChainsMatchNaiveReference) {
+  ThreadPool pool(3);
+  Rng rng(0xBA4D);
+  for (int trial = 0; trial < 16; ++trial) {
+    const auto pick = [&](std::uint64_t n) {
+      return static_cast<int>(rng.NextBelow(n));
+    };
+    const graph::Padding pad =
+        pick(2) == 0 ? graph::Padding::kSame : graph::Padding::kValid;
+    const int stride = 1 + pick(2);
+    const int dilation = 1 + pick(2);
+    std::int64_t oc = 1 + pick(11);
+    if (oc % 4 == 0) ++oc;  // always exercise the dot4 remainder path
+    // At least 15 rows/cols: the narrowest chain (VALID dilated conv or
+    // depthwise, then a 3-wide pool) still leaves two output rows.
+    const std::int64_t h = 15 + pick(6);
+    const std::int64_t wd = 15 + pick(6);
+    const std::int64_t c = 1 + pick(5);
+
+    graph::GraphBuilder b("band_chain_" + std::to_string(trial));
+    const auto in = b.Input("in", graph::TensorShape({1, h, wd, c}));
+    auto x = b.Conv2d(in, oc, 3, stride, graph::Activation::kRelu6, pad,
+                      dilation);
+    x = b.DepthwiseConv2d(x, 3, 2 - (stride - 1), graph::Activation::kNone,
+                          pad == graph::Padding::kSame
+                              ? graph::Padding::kValid
+                              : graph::Padding::kSame,
+                          dilation);
+    x = pick(2) == 0 ? b.MaxPool(x, 2, 2) : b.AvgPool(x, 3, 1);
+    const graph::TensorShape& ps = b.ShapeOf(x);
+    x = b.ResizeBilinear(x, ps.height() * 2 + 1, ps.width() + 3);
+    b.MarkOutput(x);
+    const graph::Graph g = std::move(b).Build();
+    const infer::WeightStore w = infer::InitializeWeights(g, 100 + trial);
+    const std::vector<infer::Tensor> inputs = GraphInputs(g, 200 + trial);
+    const auto naive = reference::RunReference(g, w, inputs);
+
+    for (const infer::kernels::KernelIsa isa :
+         infer::kernels::KernelRegistry::Global().AvailableIsas()) {
+      const std::string what = g.name() + "/" +
+                               std::string(infer::kernels::ToString(isa));
+      const infer::Executor untiled(g, w, infer::NumericsMode::kFp32, nullptr,
+                                    isa);
+      const auto want = untiled.Run(inputs);
+      if (isa == infer::kernels::KernelIsa::kScalar) {
+        ExpectBitIdentical(naive, want, what + " untiled");
+      } else {
+        EXPECT_LE(reference::MaxAbsDiff(naive, want), 1e-4) << what;
+      }
+      infer::ExecutionContext uctx = untiled.CreateContext();
+      ExpectBitIdentical(want, untiled.Run(inputs, uctx, {}, &pool),
+                         what + " threaded");
+      for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{2}}) {
+        infer::TileOptions opt;
+        opt.enabled = true;
+        opt.rows = rows;
+        const infer::Executor tiled(g, w, infer::NumericsMode::kFp32,
+                                    nullptr, isa, opt);
+        ASSERT_TRUE(tiled.tiled()) << what;
+        infer::ExecutionContext ctx = tiled.CreateContext();
+        const std::string band = what + " rows" + std::to_string(rows);
+        ExpectBitIdentical(want, tiled.Run(inputs, ctx), band);
+        ExpectBitIdentical(want, tiled.Run(inputs, ctx, {}, &pool),
+                           band + " threaded");
+      }
+    }
+  }
 }
 
 }  // namespace

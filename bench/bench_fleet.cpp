@@ -1,7 +1,8 @@
 // Fleet-scale serving benchmarks (DESIGN.md §16): sustained fleet QPS as
 // the shard count grows, the harness-bottleneck knee (the shard count where
 // per-query wall-clock overhead departs from the small-fleet baseline), and
-// hard determinism / prepared-model-sharing assertions.
+// hard determinism / build-once assertions (each distinct config's plan is
+// compiled once, before any shard runs).
 //
 // Standalone (no benchmark framework), same contract as bench_kernels:
 // adaptive wall-clock timing, a table on stdout, BENCH_fleet.json for CI.
@@ -83,10 +84,10 @@ void BenchDeterminism() {
 }
 
 void BenchSharing() {
-  std::printf("prepared-model sharing: 64 shards, default mix\n");
+  std::printf("build-once plans: 64 shards, default mix\n");
   const fleet::FleetReport r = fleet::RunFleet(OptionsFor(64));
   Check(r.prepared_models_built == r.distinct_configs,
-        "prepared-model builds != distinct configs (cache not shared)");
+        "plans built != distinct configs (each config builds one plan)");
   Check(r.distinct_configs < r.shard_count,
         "default 64-shard mix should share configs across shards");
   Record("fleet_distinct_configs_64shards",
@@ -116,9 +117,10 @@ void BenchSustainedQps() {
 
 // The harness-bottleneck knee: the first shard count past the best point
 // (the argmin of per-query wall time) whose per-query wall overhead exceeds
-// 1.25x that best — where coordination (workers, cache, journaling-free
-// path) stops scaling linearly.  Counts before the best point are excluded:
-// there fixed startup cost dominates, which is amortization, not a knee.
+// 1.25x that best — where coordination (workers, per-shard plan copies,
+// journaling-free path) stops scaling linearly.  Counts before the best
+// point are excluded: there fixed startup cost dominates, which is
+// amortization, not a knee.
 void BenchKnee() {
   std::printf("harness-bottleneck knee\n");
   const std::size_t counts_full[] = {1, 2, 4, 8, 16, 32, 64};

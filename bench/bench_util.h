@@ -8,35 +8,15 @@
 #include "backends/vendor_policy.h"
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
-#include "datasets/task_dataset.h"
+#include "datasets/stub_dataset.h"
 #include "models/zoo.h"
 #include "soc/chipset.h"
 
 namespace mlpm::benchutil {
 
-// A minimal query-sample source for performance-only runs: the simulated
-// backend never reads sample contents, so eight 1-element tensors suffice.
-class StubDataset final : public datasets::TaskDataset {
- public:
-  [[nodiscard]] std::size_t size() const override { return 8; }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t) const override {
-    std::vector<infer::Tensor> v;
-    v.emplace_back(graph::TensorShape({1}));
-    return v;
-  }
-  [[nodiscard]] double ScoreOutputs(
-      std::span<const std::vector<infer::Tensor>>) const override {
-    return 0.0;
-  }
-  [[nodiscard]] std::string_view metric_name() const override {
-    return "none";
-  }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override {
-    return InputsFor(index);
-  }
-};
+// The benches and perfbench name the one performance-only query source
+// through benchutil.
+using StubDataset = datasets::StubDataset;
 
 struct PerfOutcome {
   double p90_latency_s = 0.0;

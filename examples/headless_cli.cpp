@@ -24,20 +24,25 @@
 //   headless_cli --resume run.mjl         # replay finished tasks, run rest
 //
 // Fleet serving mode (DESIGN.md §16): N device-simulator shards, each a
-// LoadGen Server-scenario instance, sharing prepared models per distinct
-// (chipset, task) config:
+// LoadGen Server-scenario instance, running plans compiled once per
+// distinct (chipset, task) config:
 //   headless_cli --fleet 64
 //   headless_cli --fleet 16 --fleet-mix "Snapdragon 865+:ic:3;Exynos 990:qa:1"
 //   headless_cli --fleet 64 --fleet-qps 200 --fleet-slo-ms 50 --fleet-depth 8
 //   headless_cli --fleet 64 --journal fleet.mjl   # kill -INT, then --resume
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "common/check.h"
 #include "fleet/fleet.h"
@@ -116,28 +121,49 @@ struct CliOptions {
   bool accuracy_explicit = false;
 };
 
-// Strict positive-integer parse for --threads: rejects empty input, trailing
-// garbage ("4x"), zero and negatives, each with a targeted message.
-std::optional<int> ParseThreadCount(const std::string& s) {
+// Strict parse for every numeric flag into `out`: rejects an empty value,
+// leading blanks, trailing garbage ("4x"), nan/inf, a sign on an unsigned
+// field, and anything `in_range` refuses, each with a message naming the
+// flag.  `range` describes the accepted values.  The value is parsed at the
+// widest type of its kind; `in_range` must keep it within T.
+template <typename T, typename InRange>
+bool ParseNumber(const char* flag, const std::string& s, T& out,
+                 InRange in_range, const char* range) {
+  using Wide = std::conditional_t<
+      std::is_floating_point_v<T>, double,
+      std::conditional_t<std::is_signed_v<T>, long long, unsigned long long>>;
   if (s.empty()) {
-    std::fprintf(stderr, "--threads: missing value\n");
-    return std::nullopt;
+    std::fprintf(stderr, "%s: missing value\n", flag);
+    return false;
   }
+  const char* begin = s.c_str();
   char* end = nullptr;
   errno = 0;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "--threads: '%s' is not a number\n", s.c_str());
-    return std::nullopt;
+  Wide v{};
+  if constexpr (std::is_same_v<Wide, double>)
+    v = std::strtod(begin, &end);
+  else if constexpr (std::is_same_v<Wide, long long>)
+    v = std::strtoll(begin, &end, 10);
+  else
+    v = std::strtoull(begin, &end, 10);
+  bool finite = true;
+  if constexpr (std::is_same_v<Wide, double>) finite = std::isfinite(v);
+  if (std::isspace(static_cast<unsigned char>(s[0])) ||
+      (std::is_unsigned_v<Wide> && s[0] == '-') || end == begin ||
+      *end != '\0' || errno == ERANGE || !finite) {
+    std::fprintf(stderr, "%s: '%s' is not %s\n", flag, s.c_str(),
+                 std::is_same_v<Wide, double>     ? "a finite number"
+                 : std::is_same_v<Wide, long long> ? "an integer"
+                                                   : "a non-negative integer");
+    return false;
   }
-  if (v < 1 || v > 4096) {
-    std::fprintf(stderr,
-                 "--threads: %ld is out of range (need 1..4096; omit the "
-                 "flag for hardware concurrency)\n",
-                 v);
-    return std::nullopt;
+  if (!in_range(v)) {
+    std::fprintf(stderr, "%s: '%s' is out of range (need %s)\n", flag,
+                 s.c_str(), range);
+    return false;
   }
-  return static_cast<int>(v);
+  out = static_cast<T>(v);
+  return true;
 }
 
 std::optional<CliOptions> Parse(int argc, char** argv) {
@@ -170,21 +196,27 @@ std::optional<CliOptions> Parse(int argc, char** argv) {
     } else if (arg == "--e2e") {
       o.end_to_end = true;
     } else if (arg == "--cooldown") {
-      o.cooldown_s = std::atof(value().c_str());
+      if (!ParseNumber("--cooldown", value(), o.cooldown_s,
+                       [](double) { return true; }, "seconds"))
+        return std::nullopt;
     } else if (arg == "--csv") {
       o.csv_path = value();
     } else if (arg == "--log") {
       o.log_path = value();
     } else if (arg == "--faults") {
-      o.crash_probability = std::atof(value().c_str());
-      if (o.crash_probability <= 0.0 || o.crash_probability > 1.0)
+      if (!ParseNumber("--faults", value(), o.crash_probability,
+                       [](double v) { return v > 0.0 && v <= 1.0; },
+                       "a crash probability in (0, 1]"))
         return std::nullopt;
     } else if (arg == "--fault-seed") {
-      o.fault_seed = std::strtoull(value().c_str(), nullptr, 10);
+      if (!ParseNumber("--fault-seed", value(), o.fault_seed,
+                       [](unsigned long long) { return true; }, "a seed"))
+        return std::nullopt;
     } else if (arg == "--threads") {
-      const std::optional<int> t = ParseThreadCount(value());
-      if (!t) return std::nullopt;
-      o.threads = *t;
+      if (!ParseNumber("--threads", value(), o.threads,
+                       [](long long v) { return v >= 1 && v <= 4096; },
+                       "1..4096; omit the flag for hardware concurrency"))
+        return std::nullopt;
     } else if (arg == "--kernel-isa") {
       const std::string name = value();
       const std::optional<infer::kernels::KernelIsa> isa =
@@ -212,20 +244,12 @@ std::optional<CliOptions> Parse(int argc, char** argv) {
       } else if (t == "auto") {
         o.tiling.enabled = true;
         o.tiling.rows = -1;
+      } else if (!ParseNumber("--tile", t, o.tiling.rows,
+                              [](long long v) { return v >= 1; },
+                              "auto, off, or a positive row count")) {
+        return std::nullopt;
       } else {
-        char* end = nullptr;
-        errno = 0;
-        const long long rows = std::strtoll(t.c_str(), &end, 10);
-        if (t.empty() || end == t.c_str() || *end != '\0' ||
-            errno == ERANGE || rows < 1) {
-          std::fprintf(stderr,
-                       "--tile: '%s' is not a tile height (use auto, off, "
-                       "or a positive row count)\n",
-                       t.c_str());
-          return std::nullopt;
-        }
         o.tiling.enabled = true;
-        o.tiling.rows = rows;
       }
     } else if (arg == "--trace") {
       o.trace_path = value();
@@ -240,38 +264,72 @@ std::optional<CliOptions> Parse(int argc, char** argv) {
       if (o.journal_path.empty()) return std::nullopt;
       o.resume = true;
     } else if (arg == "--fleet") {
-      const long long n = std::strtoll(value().c_str(), nullptr, 10);
-      if (n < 1 || n > 65536) {
-        std::fprintf(stderr, "--fleet: shard count must be 1..65536\n");
+      if (!ParseNumber(
+              "--fleet", value(), o.fleet_shards,
+              [](unsigned long long v) { return v >= 1 && v <= 65536; },
+              "a shard count in 1..65536"))
         return std::nullopt;
-      }
-      o.fleet_shards = static_cast<std::size_t>(n);
     } else if (arg == "--fleet-mix") {
       o.fleet_mix = value();
       if (o.fleet_mix.empty()) return std::nullopt;
     } else if (arg == "--fleet-qps") {
-      o.fleet_qps = std::atof(value().c_str());
-      if (o.fleet_qps <= 0.0) return std::nullopt;
+      if (!ParseNumber("--fleet-qps", value(), o.fleet_qps,
+                       [](double v) { return v > 0.0; }, "a positive rate"))
+        return std::nullopt;
     } else if (arg == "--fleet-slo-ms") {
-      o.fleet_slo_ms = std::atof(value().c_str());
-      if (o.fleet_slo_ms <= 0.0) return std::nullopt;
+      if (!ParseNumber("--fleet-slo-ms", value(), o.fleet_slo_ms,
+                       [](double v) { return v > 0.0; }, "a positive bound"))
+        return std::nullopt;
     } else if (arg == "--fleet-queries") {
-      const long long n = std::strtoll(value().c_str(), nullptr, 10);
-      if (n < 1) return std::nullopt;
-      o.fleet_queries = static_cast<std::size_t>(n);
+      if (!ParseNumber("--fleet-queries", value(), o.fleet_queries,
+                       [](unsigned long long v) { return v >= 1; },
+                       "a positive count"))
+        return std::nullopt;
     } else if (arg == "--fleet-depth") {
-      const long long n = std::strtoll(value().c_str(), nullptr, 10);
-      if (n < 0) return std::nullopt;
-      o.fleet_depth = static_cast<std::size_t>(n);
+      if (!ParseNumber("--fleet-depth", value(), o.fleet_depth,
+                       [](unsigned long long) { return true; },
+                       "a queue depth"))
+        return std::nullopt;
     } else if (arg == "--fleet-workers") {
-      const long long n = std::strtoll(value().c_str(), nullptr, 10);
-      if (n < 0 || n > 4096) return std::nullopt;
-      o.fleet_workers = static_cast<std::size_t>(n);
+      if (!ParseNumber("--fleet-workers", value(), o.fleet_workers,
+                       [](unsigned long long v) { return v <= 4096; },
+                       "0..4096; 0 for hardware concurrency"))
+        return std::nullopt;
     } else {
       return std::nullopt;
     }
   }
   return o;
+}
+
+// --faults: a seeded driver-crash plan, with a 10 s query timeout so a
+// crashed inference surfaces as a timed-out query instead of a hang.
+void ApplyFaults(const CliOptions& opts, std::optional<soc::FaultPlan>& plan,
+                 loadgen::TestSettings& settings) {
+  if (opts.crash_probability <= 0.0) return;
+  soc::FaultPlan faults;
+  faults.seed = opts.fault_seed;
+  faults.DriverCrashes(opts.crash_probability);
+  plan = std::move(faults);
+  settings.query_timeout = loadgen::Seconds{10.0};
+}
+
+// With a journal, SIGINT/SIGTERM stop the run gracefully; the returned
+// predicate is the run's cancellation hook (empty without a journal).
+std::function<bool()> CancelOnStopSignal(const CliOptions& opts) {
+  if (opts.journal_path.empty()) return {};
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+  return [] { return g_interrupted != 0; };
+}
+
+// --trace FILE: the process trace as Chrome trace_event JSON.
+void WriteTrace(const std::string& path) {
+  if (path.empty()) return;
+  std::ofstream trace(path);
+  trace << obs::TraceRecorder::Global().ToChromeJson();
+  std::printf("wrote %s (Chrome trace; open with ui.perfetto.dev)\n",
+              path.c_str());
 }
 
 // Fleet serving mode: builds FleetOptions from the CLI flags, runs the
@@ -294,18 +352,8 @@ int RunFleetMode(const CliOptions& opts) {
   if (opts.fleet_queries > 0)
     fo.settings.server_query_count = opts.fleet_queries;
   fo.settings.server_max_queue_depth = opts.fleet_depth;
-  if (opts.crash_probability > 0.0) {
-    soc::FaultPlan plan;
-    plan.seed = opts.fault_seed;
-    plan.DriverCrashes(opts.crash_probability);
-    fo.fault_plan = std::move(plan);
-    fo.settings.query_timeout = loadgen::Seconds{10.0};
-  }
-  if (!opts.journal_path.empty()) {
-    std::signal(SIGINT, HandleStopSignal);
-    std::signal(SIGTERM, HandleStopSignal);
-    fo.cancel = [] { return g_interrupted != 0; };
-  }
+  ApplyFaults(opts, fo.fault_plan, fo.settings);
+  fo.cancel = CancelOnStopSignal(opts);
 
   const bool tracing = opts.profile || !opts.trace_path.empty();
   if (tracing) obs::TraceRecorder::Global().Enable();
@@ -317,13 +365,7 @@ int RunFleetMode(const CliOptions& opts) {
     text += "\n" +
             obs::RenderMetricsTable(obs::MetricsRegistry::Global().Snap());
   std::printf("%s", text.c_str());
-
-  if (!opts.trace_path.empty()) {
-    std::ofstream trace(opts.trace_path);
-    trace << obs::TraceRecorder::Global().ToChromeJson();
-    std::printf("wrote %s (Chrome trace; open with ui.perfetto.dev)\n",
-                opts.trace_path.c_str());
-  }
+  WriteTrace(opts.trace_path);
   if (report.interrupted) {
     std::fprintf(stderr,
                  "interrupted after %zu shard(s); resume with: headless_cli "
@@ -397,18 +439,8 @@ int main(int argc, char** argv) {
   run.profile = opts->profile;
   run.journal_path = opts->journal_path;
   run.resume = opts->resume;
-  if (!opts->journal_path.empty()) {
-    std::signal(SIGINT, HandleStopSignal);
-    std::signal(SIGTERM, HandleStopSignal);
-    run.cancel = [] { return g_interrupted != 0; };
-  }
-  if (opts->crash_probability > 0.0) {
-    soc::FaultPlan plan;
-    plan.seed = opts->fault_seed;
-    plan.DriverCrashes(opts->crash_probability);
-    run.fault_plan = std::move(plan);
-    run.performance_settings.query_timeout = loadgen::Seconds{10.0};
-  }
+  run.cancel = CancelOnStopSignal(*opts);
+  ApplyFaults(*opts, run.fault_plan, run.performance_settings);
 
   harness::SuiteBundles bundles;
   harness::AppRunOutput out =
@@ -425,34 +457,11 @@ int main(int argc, char** argv) {
       if (t.entry.task == *opts->only_task)
         filtered.tasks.push_back(std::move(t));
     out.result = std::move(filtered);
-    out.report_text = harness::FormatSubmission(out.result);
-    // The rebuild above dropped the profiling tables; restore them.
-    if (opts->profile) {
-      const std::vector<obs::TraceEvent> events =
-          obs::TraceRecorder::Global().Snapshot();
-      const std::vector<obs::OpAggregate> host =
-          obs::AggregateSpans(events, obs::Domain::kHost, "node");
-      if (!host.empty())
-        out.report_text +=
-            "\n" + obs::RenderAggregateTable(host, "executor ops (host)");
-      const std::vector<obs::OpAggregate> sim =
-          obs::AggregateSpans(events, obs::Domain::kSim, "soc");
-      if (!sim.empty())
-        out.report_text +=
-            "\n" + obs::RenderAggregateTable(sim, "simulated IP steps");
-      out.report_text +=
-          "\n" + obs::RenderMetricsTable(obs::MetricsRegistry::Global().Snap());
-    }
+    out.report_text = harness::FormatResultsScreen(out.result, run);
   }
 
   std::printf("%s\n%s", out.report_text.c_str(), out.checker_text.c_str());
-
-  if (!opts->trace_path.empty()) {
-    std::ofstream trace(opts->trace_path);
-    trace << obs::TraceRecorder::Global().ToChromeJson();
-    std::printf("wrote %s (Chrome trace; open with ui.perfetto.dev)\n",
-                opts->trace_path.c_str());
-  }
+  WriteTrace(opts->trace_path);
   if (!opts->csv_path.empty()) {
     std::ofstream csv(opts->csv_path);
     csv << harness::ToCsv(out.result);

@@ -9,91 +9,21 @@
 #include <set>
 #include <utility>
 
+#include "backends/simulated_backend.h"
 #include "backends/vendor_policy.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 #include "common/thread_pool.h"
 #include "core/dataset_qsl.h"
-#include "datasets/task_dataset.h"
+#include "datasets/stub_dataset.h"
 #include "fleet/journal.h"
-#include "fleet/prepared.h"
-#include "infer/prepared_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "soc/simulator.h"
 
 namespace mlpm::fleet {
 namespace {
-
-// Performance-only query source: the simulated plane never reads sample
-// contents (latency comes from the compiled model), so tiny tensors
-// suffice.  Mirrors benchutil::StubDataset; sample indices drawn against it
-// don't affect timing, which is what makes the fleet path latency-identical
-// to the legacy RunSubmission path for the same seed and settings.
-class StubDataset final : public datasets::TaskDataset {
- public:
-  [[nodiscard]] std::size_t size() const override { return 8; }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t) const override {
-    std::vector<infer::Tensor> v;
-    v.emplace_back(graph::TensorShape({1}));
-    return v;
-  }
-  [[nodiscard]] double ScoreOutputs(
-      std::span<const std::vector<infer::Tensor>>) const override {
-    return 0.0;
-  }
-  [[nodiscard]] std::string_view metric_name() const override {
-    return "none";
-  }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override {
-    return InputsFor(index);
-  }
-};
-
-// The shard-side SUT: SimulatedBackend's single-stream semantics, but the
-// compiled plan is a shared immutable PreparedShardModel from the fleet
-// cache instead of a per-device copy — N shards of one config hold one
-// plan.  The simulator (thermal/DVFS state) stays per-shard: devices share
-// weights, not temperature.
-class ShardSut final : public loadgen::SystemUnderTest {
- public:
-  ShardSut(std::string name, soc::SocSimulator simulator,
-           std::shared_ptr<const PreparedShardModel> model,
-           loadgen::VirtualClock& clock)
-      : name_(std::move(name)),
-        simulator_(std::move(simulator)),
-        model_(std::move(model)),
-        clock_(clock) {}
-
-  [[nodiscard]] std::string_view name() const override { return name_; }
-
-  void IssueQuery(std::span<const loadgen::QuerySample> samples,
-                  loadgen::ResponseSink& sink) override {
-    Expects(samples.size() == 1,
-            "fleet shards serve single-sample queries only");
-    const soc::InferenceResult r =
-        simulator_.RunInference(model_->single_stream);
-    total_energy_j_ += r.energy_j;
-    clock_.Advance(loadgen::Seconds{r.latency_s});
-    if (r.completed)
-      sink.Complete(loadgen::QuerySampleResponse{samples[0].id, {}});
-  }
-
-  [[nodiscard]] const soc::SocSimulator& simulator() const {
-    return simulator_;
-  }
-  [[nodiscard]] double total_energy_j() const { return total_energy_j_; }
-
- private:
-  std::string name_;
-  soc::SocSimulator simulator_;
-  std::shared_ptr<const PreparedShardModel> model_;
-  loadgen::VirtualClock& clock_;
-  double total_energy_j_ = 0.0;
-};
 
 // One shard's static identity, fixed before any worker runs.
 struct ShardSpec {
@@ -110,64 +40,47 @@ struct ShardSpec {
   return r.NextU64();
 }
 
-[[nodiscard]] infer::NumericsMode ModeFor(DataType numerics) {
-  switch (numerics) {
-    case DataType::kInt8:
-    case DataType::kUInt8:
-      return infer::NumericsMode::kInt8;
-    case DataType::kFloat16:
-      return infer::NumericsMode::kFp16;
-    default:
-      return infer::NumericsMode::kFp32;
-  }
-}
+// One version|task|chipset config's vendor submission and compiled
+// single-stream plan.
+struct ConfigPlan {
+  backends::SubmissionConfig sub;
+  soc::CompiledModel single_stream;
+};
 
-[[nodiscard]] ShardResult RunOneShard(
-    const ShardSpec& spec, const FleetOptions& options,
-    infer::PreparedCache<PreparedShardModel>& cache) {
+[[nodiscard]] ShardResult RunOneShard(const ShardSpec& spec,
+                                      const FleetOptions& options,
+                                      const ConfigPlan& plan) {
   ShardResult out;
   out.shard_id = spec.id;
   out.chipset = spec.chipset.name;
   out.task_id = spec.entry.id;
   out.config_key = spec.config_key;
-
-  const std::shared_ptr<const PreparedShardModel> model =
-      cache.Acquire(spec.config_key, [&] {
-        PreparedShardModel m;
-        m.sub = backends::GetSubmission(spec.chipset, spec.entry.task,
-                                        options.version);
-        const graph::Graph full = models::BuildReferenceGraph(
-            spec.entry, options.version, models::ModelScale::kFull);
-        m.single_stream =
-            backends::CompileSubmission(spec.chipset, m.sub, full);
-        return m;
-      });
-  out.numerics = model->sub.numerics;
+  out.numerics = plan.sub.numerics;
 
   loadgen::TestSettings settings = options.settings;
   settings.mode = loadgen::TestMode::kPerformanceOnly;
-  if (options.split_seed_per_shard)
-    settings.seed = spec.seed;
+  settings.seed = spec.seed;
 
   loadgen::VirtualClock clock;
   soc::SocSimulator sim(spec.chipset);
   sim.SetTraceLanePrefix("shard-" + std::to_string(spec.id) + "/");
   if (options.fault_plan.has_value()) {
-    soc::FaultPlan plan = *options.fault_plan;
-    if (options.split_seed_per_shard)
-      plan.seed = DeriveSeed(plan.seed, 0xFA17, spec.id);
-    sim.InjectFaults(std::move(plan));
+    soc::FaultPlan faults = *options.fault_plan;
+    faults.seed = DeriveSeed(faults.seed, 0xFA17, spec.id);
+    sim.InjectFaults(std::move(faults));
   }
 
-  ShardSut sut(spec.chipset.name + "/" + model->sub.framework.name,
-               std::move(sim), model, clock);
-  StubDataset stub;
+  // The simulator (thermal/DVFS state) and the plan copy are per-shard:
+  // devices share a config, not temperature.
+  backends::SimulatedBackend sut(
+      spec.chipset.name + "/" + plan.sub.framework.name, std::move(sim),
+      plan.single_stream, {}, clock);
+  const datasets::StubDataset stub;
   loadgen::DatasetQsl qsl(stub);
 
   if (options.circuit_breaker.has_value()) {
     backends::CircuitBreakerOptions cb = *options.circuit_breaker;
-    if (options.split_seed_per_shard)
-      cb.seed = DeriveSeed(cb.seed, 0xCB, spec.id);
+    cb.seed = DeriveSeed(cb.seed, 0xCB, spec.id);
     backends::CircuitBreakerBackend breaker(sut, clock, cb);
     out.result = loadgen::RunTest(breaker, qsl, settings, clock);
     out.breaker_trips = breaker.stats().trips;
@@ -189,6 +102,29 @@ struct ShardSpec {
     out.state = harness::TaskStatus::kValid;
   }
   return out;
+}
+
+// Builds the plan of every config with at least one shard left to run,
+// serially on the coordinator before any shard starts (a few milliseconds
+// for the whole default mix); workers then only read the map.  Replayed
+// shards build nothing.
+[[nodiscard]] std::map<std::string, ConfigPlan> BuildPlans(
+    const FleetOptions& options, const std::vector<ShardSpec>& specs,
+    const std::vector<std::optional<ShardResult>>& slots) {
+  std::map<std::string, ConfigPlan> plans;
+  for (const ShardSpec& spec : specs) {
+    if (slots[spec.id].has_value() || plans.contains(spec.config_key))
+      continue;
+    ConfigPlan plan;
+    plan.sub = backends::GetSubmission(spec.chipset, spec.entry.task,
+                                       options.version);
+    plan.single_stream = backends::CompileSubmission(
+        spec.chipset, plan.sub,
+        models::BuildReferenceGraph(spec.entry, options.version,
+                                    models::ModelScale::kFull));
+    plans.emplace(spec.config_key, std::move(plan));
+  }
+  return plans;
 }
 
 // Scores each distinct (task, numerics) config once on the functional
@@ -217,7 +153,7 @@ void RunAccuracyPlane(const FleetOptions& options,
     if (it == scored.end()) {
       const harness::TaskBundle& bundle =
           bundles.Get(spec.entry, options.version);
-      const infer::NumericsMode mode = ModeFor(slot->numerics);
+      const infer::NumericsMode mode = infer::NumericsModeFor(slot->numerics);
       const harness::TaskBundle::PreparedModel prepared =
           bundle.Prepare(mode, false, options.kernel_isa);
       Scores s;
@@ -309,7 +245,8 @@ FleetReport RunFleet(const FleetOptions& options) {
                                                        meta);
   }
 
-  infer::PreparedCache<PreparedShardModel> cache;
+  const std::map<std::string, ConfigPlan> plans =
+      BuildPlans(options, specs, slots);
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   std::atomic<std::size_t> active{0};
@@ -351,7 +288,8 @@ FleetReport RunFleet(const FleetOptions& options) {
           const std::string span_name = "shard-" + std::to_string(spec.id);
           recorder.AddAsyncBegin(obs::Domain::kHost, "fleet", span_name,
                                  "fleet", span_id, recorder.NowUs());
-          ShardResult shard = RunOneShard(spec, options, cache);
+          ShardResult shard =
+              RunOneShard(spec, options, plans.at(spec.config_key));
           recorder.AddAsyncEnd(obs::Domain::kHost, "fleet", span_name,
                                "fleet", span_id, recorder.NowUs());
 
@@ -380,7 +318,7 @@ FleetReport RunFleet(const FleetOptions& options) {
   std::set<std::string> distinct;
   for (const ShardSpec& spec : specs) distinct.insert(spec.config_key);
   report.distinct_configs = distinct.size();
-  report.prepared_models_built = cache.builds();
+  report.prepared_models_built = plans.size();
 
   std::vector<double> merged_latencies;
   std::size_t slo_met = 0;

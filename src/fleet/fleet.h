@@ -1,9 +1,10 @@
 // Fleet-scale serving mode (DESIGN.md §16): N device-simulator shards, each
 // driven by its own LoadGen Server-scenario instance with seeded Poisson
 // arrivals and a per-shard latency SLO, executed concurrently on a bounded
-// worker pool.  Shards that reference the same (chipset, task, version)
-// configuration share one immutable prepared model through a refcounted
-// PreparedCache, so fleet memory scales with distinct configs, not devices.
+// worker pool.  Each shard is a backends::SimulatedBackend on its own
+// simulator.  The coordinator compiles each distinct (version, task,
+// chipset) plan once before any shard starts; every shard of that config
+// runs a copy of it.
 //
 // Determinism contract: for a fixed seed, mix and shard count the aggregated
 // FleetReport is byte-identical across runs and worker counts.  Each shard
@@ -38,17 +39,14 @@ struct FleetOptions {
 
   // Per-shard LoadGen settings template.  mode is forced to
   // kPerformanceOnly; the scenario defaults to kServer (a fleet is a
-  // serving system) but single-stream is allowed for oracle comparisons.
-  // With `split_seed_per_shard` (default) shard i runs at seed
-  // Rng(settings.seed).Split(i).NextU64() so shards draw independent
-  // Poisson processes; without it every shard uses settings.seed verbatim
-  // (the fleet-vs-RunSubmission equivalence tests rely on this).
+  // serving system) but single-stream is allowed.  Shard i runs at seed
+  // Rng(settings.seed).Split(0xF1EE7).Split(i).NextU64(), so shards draw
+  // independent Poisson processes.
   loadgen::TestSettings settings = [] {
     loadgen::TestSettings s;
     s.scenario = loadgen::TestScenario::kServer;
     return s;
   }();
-  bool split_seed_per_shard = true;
 
   // Worker threads driving shards (0 = hardware concurrency).  Results are
   // identical for any value; only wall-clock time changes.
@@ -88,7 +86,7 @@ struct ShardResult {
   std::string chipset;
   std::string task_id;
   DataType numerics = DataType::kInt8;
-  // Prepared-model cache key this shard shares ("v1.0|task|chipset").
+  // The config whose plan this shard ran ("v1.0|task|chipset").
   std::string config_key;
 
   loadgen::TestResult result;
@@ -146,8 +144,9 @@ struct FleetReport {
   double p90_ms = 0.0;
   double p99_ms = 0.0;
 
-  // Prepared-model sharing: distinct configs across all shards vs models
-  // actually built this run (resumed shards build nothing).
+  // Distinct configs across all shards vs plans actually built this run
+  // (one per config with a shard left to run; resumed shards build
+  // nothing).
   std::size_t distinct_configs = 0;
   std::uint64_t prepared_models_built = 0;
 

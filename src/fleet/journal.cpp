@@ -46,8 +46,6 @@ std::uint64_t HashFleetConfig(const FleetOptions& options,
   canon += "\nperformance_sample_count=" +
            std::to_string(s.performance_sample_count);
   canon += "\nquery_timeout_s=" + HexDouble(s.query_timeout.count());
-  canon += "\nsplit_seed_per_shard=" +
-           std::to_string(options.split_seed_per_shard ? 1 : 0);
   canon += "\naccuracy=" + std::to_string(options.accuracy ? 1 : 0);
   canon += "\nkernel_isa=";
   canon += ToString(options.kernel_isa);

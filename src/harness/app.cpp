@@ -8,13 +8,9 @@
 
 namespace mlpm::harness {
 
-AppRunOutput RunMobileApp(const soc::ChipsetDesc& chipset,
-                          models::SuiteVersion version, SuiteBundles& bundles,
-                          const RunOptions& options) {
-  AppRunOutput out;
-  out.result = RunSubmission(chipset, version, bundles, options);
-  out.report_text = FormatSubmission(out.result);
-
+std::string FormatResultsScreen(const SubmissionResult& result,
+                                const RunOptions& options) {
+  std::string text = FormatSubmission(result);
   // Profiling extras (DESIGN.md §11): per-op aggregates from the trace plus
   // the process metrics snapshot, appended to the results screen.
   if (options.profile || !options.trace_path.empty()) {
@@ -23,16 +19,23 @@ AppRunOutput RunMobileApp(const soc::ChipsetDesc& chipset,
     const std::vector<obs::OpAggregate> host =
         obs::AggregateSpans(events, obs::Domain::kHost, "node");
     if (!host.empty())
-      out.report_text +=
-          "\n" + obs::RenderAggregateTable(host, "executor ops (host)");
+      text += "\n" + obs::RenderAggregateTable(host, "executor ops (host)");
     const std::vector<obs::OpAggregate> sim =
         obs::AggregateSpans(events, obs::Domain::kSim, "soc");
     if (!sim.empty())
-      out.report_text +=
-          "\n" + obs::RenderAggregateTable(sim, "simulated IP steps");
-    out.report_text +=
+      text += "\n" + obs::RenderAggregateTable(sim, "simulated IP steps");
+    text +=
         "\n" + obs::RenderMetricsTable(obs::MetricsRegistry::Global().Snap());
   }
+  return text;
+}
+
+AppRunOutput RunMobileApp(const soc::ChipsetDesc& chipset,
+                          models::SuiteVersion version, SuiteBundles& bundles,
+                          const RunOptions& options) {
+  AppRunOutput out;
+  out.result = RunSubmission(chipset, version, bundles, options);
+  out.report_text = FormatResultsScreen(out.result, options);
 
   const CheckReport check =
       CheckSubmission(out.result, options.performance_settings);

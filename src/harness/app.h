@@ -15,6 +15,12 @@ struct AppRunOutput {
   bool submission_valid = false;
 };
 
+// The results screen for `result`: the submission report, plus the per-op
+// aggregate tables and process metrics when `options` profiled or traced
+// the run.
+[[nodiscard]] std::string FormatResultsScreen(const SubmissionResult& result,
+                                              const RunOptions& options);
+
 // Runs accuracy + performance for every task on the given chipset and
 // validates the outcome with the submission checker.
 [[nodiscard]] AppRunOutput RunMobileApp(const soc::ChipsetDesc& chipset,

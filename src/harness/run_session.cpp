@@ -16,20 +16,6 @@
 namespace mlpm::harness {
 namespace {
 
-infer::NumericsMode ModeFor(DataType numerics) {
-  switch (numerics) {
-    case DataType::kInt8:
-    case DataType::kUInt8:
-      return infer::NumericsMode::kInt8;
-    case DataType::kFloat16:
-      return infer::NumericsMode::kFp16;
-    case DataType::kFloat32:
-    case DataType::kInt32:
-      return infer::NumericsMode::kFp32;
-  }
-  return infer::NumericsMode::kFp32;
-}
-
 // Analytical pre/post-processing cost on the CPU (the "AI tax" the
 // end-to-end extension includes; paper App. E).
 backends::EndToEndCosts EstimateEndToEndCosts(
@@ -68,24 +54,6 @@ const TaskBundle& SuiteBundles::Get(const models::BenchmarkEntry& e,
   if (it == cache_.end())
     it = cache_.emplace(key, TaskBundle::Create(e, version)).first;
   return *it->second;
-}
-
-loadgen::TestResult RunSingleStreamPerformance(
-    const soc::ChipsetDesc& chipset, const backends::SubmissionConfig& config,
-    const graph::Graph& full_graph, const datasets::TaskDataset& dataset,
-    const loadgen::TestSettings& settings) {
-  loadgen::TestSettings s = settings;
-  s.scenario = loadgen::TestScenario::kSingleStream;
-  s.mode = loadgen::TestMode::kPerformanceOnly;
-
-  loadgen::VirtualClock clock;
-  backends::SimulatedBackend sut(
-      chipset.name + "/" + config.framework.name,
-      soc::SocSimulator(chipset),
-      backends::CompileSubmission(chipset, config, full_graph),
-      backends::CompileOfflineReplicas(chipset, config, full_graph), clock);
-  loadgen::DatasetQsl qsl(dataset);
-  return loadgen::RunTest(sut, qsl, s, clock);
 }
 
 namespace {
@@ -350,7 +318,7 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
   if (options.run_accuracy) {
     // Accuracy mode: the whole validation set through the LoadGen and
     // the functional reference backend at the submission numerics.
-    const infer::NumericsMode mode = ModeFor(sub.numerics);
+    const infer::NumericsMode mode = infer::NumericsModeFor(sub.numerics);
     const TaskBundle::PreparedModel prepared =
         bundle.Prepare(mode,
                        options.use_qat_weights &&

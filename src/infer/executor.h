@@ -81,6 +81,21 @@ enum class NumericsMode : std::uint8_t { kFp32, kFp16, kInt8 };
   return "?";
 }
 
+// The executor numerics that emulate a submission's activation data type.
+[[nodiscard]] constexpr NumericsMode NumericsModeFor(DataType activations) {
+  switch (activations) {
+    case DataType::kInt8:
+    case DataType::kUInt8:
+      return NumericsMode::kInt8;
+    case DataType::kFloat16:
+      return NumericsMode::kFp16;
+    case DataType::kFloat32:
+    case DataType::kInt32:
+      return NumericsMode::kFp32;
+  }
+  return NumericsMode::kFp32;
+}
+
 // Called after each node executes, with the node's output tensor.  Used by
 // the quantizer to record activation ranges during calibration.
 using NodeObserver =

@@ -1,111 +1,32 @@
-// Fleet serving mode (DESIGN.md §16): prepared-model cache semantics,
-// seeded determinism of the aggregated report, query-accounting
-// conformance under overload, equivalence with the legacy single-stream
-// path, and crash-safe journal resume.  Also pins loadgen::FindMaxServerQps
+// Fleet serving mode (DESIGN.md §16): build-once plan sharing, seeded
+// determinism of the aggregated report, query-accounting conformance under
+// overload, shard-for-shard equivalence with the simulated backend, and
+// crash-safe journal resume.  Also pins loadgen::FindMaxServerQps
 // bisection behavior (monotone convergence, errored probes, the shed
 // bound).
 #include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "backends/simulated_backend.h"
 #include "backends/vendor_policy.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
-#include "datasets/task_dataset.h"
+#include "datasets/stub_dataset.h"
 #include "fleet/fleet.h"
 #include "fleet/journal.h"
 #include "fleet/mix.h"
 #include "fleet/report.h"
 #include "harness/run_session.h"
-#include "infer/prepared_cache.h"
 #include "models/zoo.h"
 #include "soc/chipset.h"
 
 namespace mlpm {
 namespace {
-
-// ---------------------------------------------------------------------------
-// PreparedCache (unit)
-
-TEST(PreparedCache, BuildsOnceUnderConcurrency) {
-  infer::PreparedCache<int> cache;
-  std::atomic<int> built{0};
-  constexpr int kThreads = 16;
-  std::vector<std::shared_ptr<const int>> held(kThreads);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t)
-      threads.emplace_back([&, t] {
-        held[static_cast<std::size_t>(t)] = cache.Acquire("shared", [&] {
-          built.fetch_add(1);
-          return 42;
-        });
-      });
-    for (std::thread& th : threads) th.join();
-  }
-  EXPECT_EQ(built.load(), 1);
-  EXPECT_EQ(cache.builds(), 1u);
-  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kThreads - 1));
-  for (const auto& p : held) {
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(*p, 42);
-  }
-  EXPECT_EQ(cache.UseCount("shared"), static_cast<std::size_t>(kThreads));
-}
-
-TEST(PreparedCache, RefcountTracksHoldersAndEvictionSparesThem) {
-  infer::PreparedCache<std::string> cache;
-  auto a = cache.Acquire("k", [] { return std::string("v"); });
-  EXPECT_EQ(cache.UseCount("k"), 1u);
-  auto b = a;
-  EXPECT_EQ(cache.UseCount("k"), 2u);
-
-  // A held entry survives eviction; releasing every holder frees it.
-  EXPECT_EQ(cache.EvictUnused(), 0u);
-  EXPECT_TRUE(cache.Contains("k"));
-  a.reset();
-  b.reset();
-  EXPECT_EQ(cache.UseCount("k"), 0u);
-  EXPECT_EQ(cache.EvictUnused(), 1u);
-  EXPECT_FALSE(cache.Contains("k"));
-
-  // Re-acquire after eviction is a fresh build, not a stale hit.
-  const std::uint64_t builds_before = cache.builds();
-  auto c = cache.Acquire("k", [] { return std::string("v2"); });
-  EXPECT_EQ(*c, "v2");
-  EXPECT_EQ(cache.builds(), builds_before + 1);
-}
-
-TEST(PreparedCache, DistinctKeysBuildIndependently) {
-  infer::PreparedCache<int> cache;
-  auto a = cache.Acquire("a", [] { return 1; });
-  auto b = cache.Acquire("b", [] { return 2; });
-  EXPECT_EQ(cache.builds(), 2u);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.UseCount("a"), 1u);
-  EXPECT_EQ(cache.UseCount("b"), 1u);
-}
-
-TEST(PreparedCache, FailedBuildCachesNothing) {
-  infer::PreparedCache<int> cache;
-  EXPECT_THROW(
-      {
-        auto p = cache.Acquire("k", []() -> int {
-          throw CheckError("build exploded");
-        });
-      },
-      CheckError);
-  EXPECT_FALSE(cache.Contains("k"));
-  EXPECT_EQ(cache.builds(), 0u);
-  auto p = cache.Acquire("k", [] { return 7; });
-  EXPECT_EQ(*p, 7);
-  EXPECT_EQ(cache.builds(), 1u);
-}
 
 // ---------------------------------------------------------------------------
 // Fleet determinism + sharing (property)
@@ -190,73 +111,60 @@ TEST(Fleet, OverloadAccountingIdentityHolds) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet path vs legacy single-stream path (property)
+// Fleet shards vs an independent SimulatedBackend replay (property)
 
-// Mirrors the fleet's internal performance-only stub QSL so the oracle run
-// draws sample indices from an identically-sized library.
-class OracleStubDataset final : public datasets::TaskDataset {
- public:
-  [[nodiscard]] std::size_t size() const override { return 8; }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t) const override {
-    std::vector<infer::Tensor> v;
-    v.emplace_back(graph::TensorShape({1}));
-    return v;
-  }
-  [[nodiscard]] double ScoreOutputs(
-      std::span<const std::vector<infer::Tensor>>) const override {
-    return 0.0;
-  }
-  [[nodiscard]] std::string_view metric_name() const override {
-    return "none";
-  }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override {
-    return InputsFor(index);
-  }
-};
-
-TEST(Fleet, SingleShardMatchesLegacySingleStreamPath) {
+// Every shard of a mixed fleet equals a run of the one simulated backend on
+// the shard's chipset and compiled plan at the documented per-shard seed
+// Rng(seed).Split(0xF1EE7).Split(i).
+TEST(Fleet, EveryShardMatchesSimulatedBackendReplay) {
   const models::SuiteVersion version = models::SuiteVersion::kV1_0;
-  const std::string chipset_name = "Dimensity 1100";
-
-  fleet::FleetOptions fo;
-  fo.shard_count = 1;
+  fleet::FleetOptions fo = SmallFleet(8);
   fo.version = version;
-  fo.mix = fleet::ParseFleetMix(chipset_name + ":ic");
-  fo.settings.scenario = loadgen::TestScenario::kSingleStream;
-  fo.settings.min_query_count = 256;
-  fo.settings.min_duration = loadgen::Seconds{1.0};
-  fo.split_seed_per_shard = false;  // oracle uses the same seed verbatim
+  fo.mix = fleet::ParseFleetMix("Dimensity 1100:ic:1;Exynos 2100:qa:1");
+  fo.settings.server_target_qps = 120.0;
+  fo.settings.server_max_queue_depth = 8;
   const fleet::FleetReport r = fleet::RunFleet(fo);
-  ASSERT_EQ(r.shards.size(), 1u);
-  const loadgen::TestResult& via_fleet = r.shards[0].result;
+  ASSERT_EQ(r.shards.size(), 8u);
+  EXPECT_EQ(r.distinct_configs, 2u);
 
-  // Legacy path: same chipset, task, graph, settings and seed on a fresh
-  // simulator — per-query latencies must agree exactly.
-  soc::ChipsetDesc chipset;
-  for (const soc::ChipsetDesc& c : soc::CatalogV10())
-    if (c.name == chipset_name) chipset = c;
-  ASSERT_EQ(chipset.name, chipset_name);
-  models::BenchmarkEntry entry;
-  for (const models::BenchmarkEntry& e : models::SuiteFor(version))
-    if (e.task == models::TaskType::kImageClassification) entry = e;
-  const backends::SubmissionConfig config =
-      backends::GetSubmission(chipset, entry.task, version);
-  const graph::Graph full =
-      models::BuildReferenceGraph(entry, version, models::ModelScale::kFull);
-  const OracleStubDataset stub;
-  const loadgen::TestResult oracle = harness::RunSingleStreamPerformance(
-      chipset, config, full, stub, fo.settings);
+  const std::vector<fleet::ResolvedMixEntry> resolved =
+      fleet::ResolveMix(fo.mix, version);
+  const std::vector<std::size_t> counts =
+      fleet::AssignShardCounts(fo.mix, fo.shard_count);
+  loadgen::TestSettings settings = fo.settings;
+  settings.mode = loadgen::TestMode::kPerformanceOnly;
+  const datasets::StubDataset stub;
+  std::size_t id = 0;
+  std::size_t total_shed = 0;
+  for (std::size_t m = 0; m < resolved.size(); ++m) {
+    const soc::ChipsetDesc& chipset = resolved[m].chipset;
+    const backends::SubmissionConfig sub =
+        backends::GetSubmission(chipset, resolved[m].entry.task, version);
+    const soc::CompiledModel plan = backends::CompileSubmission(
+        chipset, sub,
+        models::BuildReferenceGraph(resolved[m].entry, version,
+                                    models::ModelScale::kFull));
+    for (std::size_t k = 0; k < counts[m]; ++k, ++id) {
+      settings.seed = Rng(fo.settings.seed).Split(0xF1EE7).Split(id).NextU64();
+      loadgen::VirtualClock clock;
+      backends::SimulatedBackend sut(chipset.name, soc::SocSimulator(chipset),
+                                     plan, {}, clock);
+      loadgen::DatasetQsl qsl(stub);
+      const loadgen::TestResult oracle =
+          loadgen::RunTest(sut, qsl, settings, clock);
 
-  ASSERT_EQ(via_fleet.latencies_s.size(), oracle.latencies_s.size());
-  for (std::size_t i = 0; i < oracle.latencies_s.size(); ++i)
-    EXPECT_DOUBLE_EQ(via_fleet.latencies_s[i], oracle.latencies_s[i])
-        << "query " << i;
-  EXPECT_DOUBLE_EQ(via_fleet.throughput_sps, oracle.throughput_sps);
-  EXPECT_DOUBLE_EQ(via_fleet.percentile_latency_s,
-                   oracle.percentile_latency_s);
-  EXPECT_EQ(via_fleet.sample_count, oracle.sample_count);
+      const loadgen::TestResult& shard = r.shards[id].result;
+      EXPECT_EQ(shard.latencies_s, oracle.latencies_s) << "shard " << id;
+      EXPECT_EQ(shard.throughput_sps, oracle.throughput_sps) << "shard " << id;
+      EXPECT_EQ(shard.percentile_latency_s, oracle.percentile_latency_s)
+          << "shard " << id;
+      EXPECT_EQ(shard.shed_count, oracle.shed_count) << "shard " << id;
+      EXPECT_EQ(shard.issued_count, oracle.issued_count) << "shard " << id;
+      total_shed += oracle.shed_count;
+    }
+  }
+  EXPECT_EQ(id, 8u);
+  EXPECT_GT(total_shed, 0u) << "the replay should cover admission shedding";
 }
 
 TEST(Fleet, AccuracyPlaneMatchesTaskBundleScores) {
@@ -326,6 +234,12 @@ TEST(Fleet, KillAndResumeReplaysIntactShardsToIdenticalReport) {
   EXPECT_FALSE(full.interrupted);
   EXPECT_EQ(full.resumed_shards, partial.shards.size());
   EXPECT_EQ(fleet::FormatFleetReport(full), reference);
+
+  // A second resume replays every shard and compiles no plan at all.
+  const fleet::FleetReport replayed = fleet::RunFleet(resumed);
+  EXPECT_EQ(replayed.resumed_shards, 8u);
+  EXPECT_EQ(replayed.prepared_models_built, 0u);
+  EXPECT_EQ(fleet::FormatFleetReport(replayed), reference);
 }
 
 TEST(Fleet, ResumeIgnoresJournalOfDifferentConfiguration) {

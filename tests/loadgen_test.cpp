@@ -7,6 +7,7 @@
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
 #include "core/logging.h"
+#include "datasets/stub_dataset.h"
 #include "obs/trace.h"
 #include "obs/trace_check.h"
 
@@ -632,27 +633,7 @@ TEST(LoadGen, MultiStreamQueriesArePaced) {
 TEST(DatasetQslContract, UnstagedSampleAccessThrows) {
   // Protocol violation guard: an SUT reading a sample the LoadGen never
   // staged must fail loudly.
-  class OneSample final : public mlpm::datasets::TaskDataset {
-   public:
-    [[nodiscard]] std::size_t size() const override { return 2; }
-    [[nodiscard]] std::vector<mlpm::infer::Tensor> InputsFor(
-        std::size_t) const override {
-      std::vector<mlpm::infer::Tensor> v;
-      v.emplace_back(mlpm::graph::TensorShape({1}));
-      return v;
-    }
-    [[nodiscard]] double ScoreOutputs(
-        std::span<const std::vector<mlpm::infer::Tensor>>) const override {
-      return 0.0;
-    }
-    [[nodiscard]] std::string_view metric_name() const override {
-      return "none";
-    }
-    [[nodiscard]] std::vector<mlpm::infer::Tensor> CalibrationInputsFor(
-        std::size_t index) const override {
-      return InputsFor(index);
-    }
-  } dataset;
+  const mlpm::datasets::StubDataset dataset;
   DatasetQsl qsl(dataset);
   const std::size_t zero = 0;
   qsl.LoadSamplesToRam({&zero, 1});

@@ -443,8 +443,13 @@ int main(int argc, char** argv) {
   ApplyFaults(*opts, run.fault_plan, run.performance_settings);
 
   harness::SuiteBundles bundles;
-  harness::AppRunOutput out =
-      harness::RunMobileApp(*chipset, opts->version, bundles, run);
+  harness::AppRunOutput out;
+  try {
+    out = harness::RunMobileApp(*chipset, opts->version, bundles, run);
+  } catch (const CheckError& e) {  // e.g. a --resume journal it cannot read
+    std::fprintf(stderr, "submission: %s\n", e.what());
+    return 2;
+  }
 
   // --task filters the displayed rows (the rules still run the full order).
   if (opts->only_task) {

@@ -224,26 +224,19 @@ FleetReport RunFleet(const FleetOptions& options) {
   meta.config_hash = HashFleetConfig(options, mix);
 
   std::vector<std::optional<ShardResult>> slots(options.shard_count);
-  std::unique_ptr<FleetJournalWriter> journal;
+  std::unique_ptr<FleetJournal::Writer> journal;
   if (!options.journal_path.empty()) {
-    bool resumed = false;
-    if (options.resume) {
-      FleetJournalLoad existing = LoadFleetJournal(options.journal_path);
-      if (existing.meta_valid && existing.meta.Matches(meta)) {
-        for (auto& [id, shard] : existing.shards) {
-          if (id >= options.shard_count) continue;
-          shard.resumed = true;
-          slots[id] = std::move(shard);
-          ++report.resumed_shards;
-        }
-        journal = FleetJournalWriter::Resume(options.journal_path,
-                                             existing.valid_prefix_bytes);
-        resumed = true;
-      }
+    FleetJournal::Opened opened =
+        kFleetJournal.Open(options.journal_path, meta, options.resume);
+    for (auto& [id, shard] : ShardsById(std::move(opened.replay.records))) {
+      if (id >= options.shard_count) continue;
+      shard.resumed = true;
+      slots[id] = std::move(shard);
     }
-    if (!resumed) journal = FleetJournalWriter::Create(options.journal_path,
-                                                       meta);
+    journal = std::move(opened.writer);
   }
+  for (const std::optional<ShardResult>& slot : slots)
+    if (slot.has_value()) ++report.resumed_shards;
 
   const std::map<std::string, ConfigPlan> plans =
       BuildPlans(options, specs, slots);

@@ -1,12 +1,13 @@
-// Crash-safe fleet journal: the submission journal's WAL format
-// (harness/frame_log.h — same header line, framing and checksums) carrying
-// fleet frames instead of task frames:
+// Crash-safe fleet journal (DESIGN.md §16): the journal layer of
+// harness/journal.h — same header line, framing, checksums, loader and
+// writer — carrying fleet frames:
 //
 //   mlpm_journal v1\n
 //   meta <len> <fnv64-hex>\n   — fleet identity (no `chipset` key, so a
 //   <payload>\n                  fleet meta never decodes as a submission
-//   shard <len> <fnv64-hex>\n    meta and vice versa)
-//   <payload>\n                — one frame per finished shard
+//   shard <len> <fnv64-hex>\n    meta; a submission meta has no
+//   <payload>\n                  `shard_count`, so never decodes as this)
+//                              — one frame per finished shard
 //
 // Shards finish in worker-scheduling order, so the shard frames of two
 // identical runs may be permuted; replay keys records by shard id and the
@@ -17,13 +18,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "fleet/fleet.h"
-#include "harness/frame_log.h"
+#include "harness/journal.h"
 
 namespace mlpm::fleet {
 
@@ -43,58 +42,33 @@ struct FleetJournalMeta {
 };
 
 // Deterministic digest of everything that shapes fleet results: suite
-// version, mix, LoadGen settings, seed policy, fault plan, breaker options
-// and the accuracy-plane flags.  Worker count and observability knobs are
+// version, mix, LoadGen settings, fault plan, breaker options and the
+// accuracy-plane flags.  Worker count and observability knobs are
 // excluded — they never change results.
 [[nodiscard]] std::uint64_t HashFleetConfig(const FleetOptions& options,
                                             const std::vector<FleetMixEntry>&
                                                 mix);
 
+// Fleet payload codecs; decoders throw CheckError on malformed payloads
+// (including a submission-journal meta, which lacks shard_count).
 [[nodiscard]] std::string EncodeFleetMeta(const FleetJournalMeta& meta);
-// Throws CheckError on malformed payloads (including a submission-journal
-// meta, which lacks the shard_count key).
 [[nodiscard]] FleetJournalMeta DecodeFleetMeta(const std::string& payload);
-
 [[nodiscard]] std::string EncodeShardResult(const ShardResult& shard);
 [[nodiscard]] ShardResult DecodeShardResult(const std::string& payload);
 
-struct FleetJournalLoad {
-  bool meta_valid = false;
-  FleetJournalMeta meta;
-  // Intact shard records keyed by shard id (later frames win, matching the
-  // append-only overwrite semantics of a re-run shard).
+// The shard records of a journal keyed by shard id, as resume replays
+// them: a shard journaled twice keeps its later record.
+[[nodiscard]] inline std::map<std::size_t, ShardResult> ShardsById(
+    std::vector<ShardResult> records) {
   std::map<std::size_t, ShardResult> shards;
-  std::size_t valid_prefix_bytes = 0;
-  bool torn_tail = false;
-  std::vector<std::string> notes;
-};
+  for (ShardResult& shard : records)
+    shards.insert_or_assign(shard.shard_id, std::move(shard));
+  return shards;
+}
 
-// Never throws: recovers the longest interpretable prefix of the file and
-// reports what it cut.  A missing file yields an empty load.
-[[nodiscard]] FleetJournalLoad LoadFleetJournal(const std::string& path);
-
-// Thread-safe appender: shards finish on worker threads, and the underlying
-// FrameLogWriter requires external serialization, so every append takes the
-// writer mutex.  Frames are fsync'd before Append returns (the FrameLog
-// durability contract).
-class FleetJournalWriter {
- public:
-  // Truncates (or creates) `path` and writes the meta frame.
-  [[nodiscard]] static std::unique_ptr<FleetJournalWriter> Create(
-      const std::string& path, const FleetJournalMeta& meta);
-  // Opens for append after a valid prefix of `valid_prefix_bytes` (from
-  // LoadFleetJournal), truncating any torn tail.
-  [[nodiscard]] static std::unique_ptr<FleetJournalWriter> Resume(
-      const std::string& path, std::size_t valid_prefix_bytes);
-
-  void Append(const ShardResult& shard);
-
- private:
-  explicit FleetJournalWriter(harness::FrameLogWriter log)
-      : log_(std::move(log)) {}
-
-  std::mutex mu_;
-  harness::FrameLogWriter log_;
-};
+using FleetJournal = harness::JournalFormat<FleetJournalMeta, ShardResult>;
+inline constexpr FleetJournal kFleetJournal{
+    "shard", &EncodeFleetMeta, &DecodeFleetMeta, &EncodeShardResult,
+    &DecodeShardResult};
 
 }  // namespace mlpm::fleet

@@ -1,11 +1,12 @@
 #include "harness/frame_log.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -42,85 +43,84 @@ std::string HexDouble(double v) {
   return buf;
 }
 
-void PutU(std::string& out, std::string_view key, std::uint64_t v) {
-  out += "u ";
-  out += key;
-  out += ' ';
-  out += std::to_string(v);
-  out += '\n';
+void Encoder::PutScalar(char tag, std::string_view key,
+                        std::string_view text) {
+  out_ += tag;
+  out_ += ' ';
+  out_ += key;
+  out_ += ' ';
+  out_ += text;
+  out_ += '\n';
 }
 
-void PutD(std::string& out, std::string_view key, double v) {
-  out += "d ";
-  out += key;
-  out += ' ';
-  out += HexDouble(v);
-  out += '\n';
+void Encoder::PutBlock(std::string_view key, std::string_view bytes) {
+  PutScalar('s', key, std::to_string(bytes.size()));
+  out_ += bytes;
+  out_ += '\n';
 }
 
-void PutB(std::string& out, std::string_view key, bool v) {
-  out += "b ";
-  out += key;
-  out += v ? " 1\n" : " 0\n";
-}
-
-void PutS(std::string& out, std::string_view key, std::string_view bytes) {
-  out += "s ";
-  out += key;
-  out += ' ';
-  out += std::to_string(bytes.size());
-  out += '\n';
-  out += bytes;
-  out += '\n';
-}
-
-void PutDV(std::string& out, std::string_view key,
-           const std::vector<double>& v) {
-  out += "D ";
-  out += key;
-  out += ' ';
-  out += std::to_string(v.size());
+void Encoder::PutDoubles(std::string_view key, const std::vector<double>& v) {
+  out_ += "D ";
+  out_ += key;
+  out_ += ' ';
+  out_ += std::to_string(v.size());
   for (const double d : v) {
-    out += ' ';
-    out += HexDouble(d);
+    out_ += ' ';
+    out_ += HexDouble(d);
   }
-  out += '\n';
+  out_ += '\n';
 }
 
-void PutUV(std::string& out, std::string_view key,
-           const std::vector<std::size_t>& v) {
-  out += "U ";
-  out += key;
-  out += ' ';
-  out += std::to_string(v.size());
+void Encoder::PutUints(std::string_view key,
+                       const std::vector<std::size_t>& v) {
+  out_ += "U ";
+  out_ += key;
+  out_ += ' ';
+  out_ += std::to_string(v.size());
   for (const std::size_t u : v) {
-    out += ' ';
-    out += std::to_string(u);
+    out_ += ' ';
+    out_ += std::to_string(u);
   }
-  out += '\n';
+  out_ += '\n';
 }
 
-void PutL(std::string& out, std::string_view key,
-          const std::vector<std::string>& v) {
-  out += "L ";
-  out += key;
-  out += ' ';
-  out += std::to_string(v.size());
-  out += '\n';
+void Encoder::PutList(std::string_view key,
+                      const std::vector<std::string>& v) {
+  PutScalar('L', key, std::to_string(v.size()));
   for (const std::string& s : v) {
-    out += std::to_string(s.size());
-    out += '\n';
-    out += s;
-    out += '\n';
+    out_ += std::to_string(s.size());
+    out_ += '\n';
+    out_ += s;
+    out_ += '\n';
   }
+}
+
+void Decoder::CheckTag(char tag) const {
+  Expects(field_.tag == tag, "journal: key " + field_.key + " has tag '" +
+                                 std::string(1, field_.tag) + "', expected '" +
+                                 std::string(1, tag) + "'");
+}
+
+void Decoder::RequireSet(std::string_view key, bool set) {
+  Expects(set, "journal: required key '" + std::string(key) +
+                   "' is missing or empty");
 }
 
 std::uint64_t ParseU64(const std::string& text) {
+  // strtoull alone would accept leading blanks and a minus sign.
+  Expects(!text.empty() && text[0] >= '0' && text[0] <= '9',
+          "journal: bad integer '" + text + "'");
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  Expects(errno == 0 && end != text.c_str() && *end == '\0',
-          "journal: bad integer '" + text + "'");
+  Expects(errno == 0 && *end == '\0', "journal: bad integer '" + text + "'");
+  return v;
+}
+
+std::uint64_t ParseBounded(const std::string& text, std::uint64_t max) {
+  const std::uint64_t v = ParseU64(text);
+  Expects(v <= max, "journal: value " + text + " out of range (max " +
+                        std::to_string(max) + ")");
   return v;
 }
 
@@ -132,66 +132,69 @@ double ParseDouble(const std::string& text) {
   return v;
 }
 
+namespace {
+
+// Space-separated tokens of one entry line.  Each token holds at least one
+// byte of the line, so the token count bounds every list the line encodes.
+std::vector<std::string_view> Tokens(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  std::size_t pos = 0;
+  while (pos < line.size()) {
+    const std::size_t end = std::min(line.find(' ', pos), line.size());
+    if (end > pos) tokens.push_back(line.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  return tokens;
+}
+
+}  // namespace
+
 bool PayloadParser::Next(Field& f) {
   if (pos_ >= payload_.size()) return false;
-  const std::string line = TakeLine();
-  std::istringstream ls(line);
-  std::string tag;
-  ls >> tag;
-  Expects(tag.size() == 1, "journal: bad entry tag '" + tag + "'");
+  const std::vector<std::string_view> tokens = Tokens(TakeLine());
+  Expects(tokens.size() >= 3 && tokens[0].size() == 1,
+          "journal: malformed entry line");
   f = Field{};
-  f.tag = tag[0];
-  ls >> f.key;
-  Expects(!f.key.empty(), "journal: entry without key");
+  f.tag = tokens[0][0];
+  f.key = tokens[1];
+  const std::string count(tokens[2]);
+  const auto expect_tokens = [&](std::uint64_t n) {
+    Expects(tokens.size() == n, "journal: wrong value count for " + f.key);
+  };
   switch (f.tag) {
     case 'u':
     case 'd':
-    case 'b': {
-      ls >> f.scalar;
-      Expects(!ls.fail(), "journal: missing value for key " + f.key);
+    case 'b':
+      expect_tokens(3);
+      f.scalar = count;
       break;
-    }
-    case 's': {
-      std::string len_text;
-      ls >> len_text;
-      f.bytes = TakeBlock(ParseU64(len_text));
+    case 's':
+      expect_tokens(3);
+      f.bytes = TakeBlock(ParseU64(count));
       break;
-    }
     case 'D': {
-      std::string n_text;
-      ls >> n_text;
-      const std::uint64_t n = ParseU64(n_text);
-      f.doubles.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        std::string v;
-        ls >> v;
-        Expects(!ls.fail(), "journal: short double list for " + f.key);
-        f.doubles.push_back(ParseDouble(v));
-      }
+      expect_tokens(3 + ParseU64(count));
+      f.doubles.reserve(tokens.size() - 3);
+      for (std::size_t i = 3; i < tokens.size(); ++i)
+        f.doubles.push_back(ParseDouble(std::string(tokens[i])));
       break;
     }
     case 'U': {
-      std::string n_text;
-      ls >> n_text;
-      const std::uint64_t n = ParseU64(n_text);
-      f.uints.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        std::string v;
-        ls >> v;
-        Expects(!ls.fail(), "journal: short uint list for " + f.key);
-        f.uints.push_back(ParseU64(v));
-      }
+      expect_tokens(3 + ParseU64(count));
+      f.uints.reserve(tokens.size() - 3);
+      for (std::size_t i = 3; i < tokens.size(); ++i)
+        f.uints.push_back(ParseU64(std::string(tokens[i])));
       break;
     }
     case 'L': {
-      std::string n_text;
-      ls >> n_text;
-      const std::uint64_t n = ParseU64(n_text);
+      expect_tokens(3);
+      const std::uint64_t n = ParseU64(count);
+      // Each element takes at least three bytes: "<len>\n" and "\n".
+      Expects(n <= (payload_.size() - pos_) / 3,
+              "journal: list count runs past the payload for " + f.key);
       f.strings.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const std::string len_line = TakeLine();
-        f.strings.push_back(TakeBlock(ParseU64(len_line)));
-      }
+      for (std::uint64_t i = 0; i < n; ++i)
+        f.strings.push_back(TakeBlock(ParseU64(std::string(TakeLine()))));
       break;
     }
     default:
@@ -201,16 +204,19 @@ bool PayloadParser::Next(Field& f) {
   return true;
 }
 
-std::string PayloadParser::TakeLine() {
+std::string_view PayloadParser::TakeLine() {
   const std::size_t nl = payload_.find('\n', pos_);
   Expects(nl != std::string::npos, "journal: unterminated entry line");
-  std::string line = payload_.substr(pos_, nl - pos_);
+  const std::string_view line =
+      std::string_view(payload_).substr(pos_, nl - pos_);
   pos_ = nl + 1;
   return line;
 }
 
 std::string PayloadParser::TakeBlock(std::uint64_t len) {
-  Expects(pos_ + len + 1 <= payload_.size(),
+  // len bytes plus the terminator must fit in what is left (pos_ never
+  // exceeds the payload size, so the subtraction cannot wrap).
+  Expects(len < payload_.size() - pos_,
           "journal: block runs past the payload");
   std::string bytes = payload_.substr(pos_, len);
   pos_ += len;
@@ -286,9 +292,11 @@ FrameLogLoad LoadFrameLog(const std::string& path) {
     load.notes.push_back("cannot open journal: " + path);
     return load;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = buf.str();
+  // Unlike `ostream << rdbuf()`, which turns a read error into an empty
+  // string, the iterators let it throw: a journal that exists but cannot
+  // be read must not pass for an empty one.
+  const std::string data{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
   load.file_size = data.size();
 
   // Header line.
@@ -297,11 +305,8 @@ FrameLogLoad LoadFrameLog(const std::string& path) {
       data.substr(0, header_end) != kHeader) {
     load.notes.push_back("not a journal: missing '" + std::string(kHeader) +
                          "' header");
-    load.torn_tail = !data.empty();
-    load.torn_bytes = data.size();
     return load;
   }
-  load.header_valid = true;
 
   std::size_t pos = header_end + 1;
   while (pos < data.size()) {
@@ -312,8 +317,9 @@ FrameLogLoad LoadFrameLog(const std::string& path) {
                            why);
       break;
     }
-    // Payload must be fully present, terminated, and checksum-clean.
-    if (frame.payload_pos + frame.len + 1 > data.size()) {
+    // Payload must be fully present, terminated, and checksum-clean.  The
+    // length is untrusted: compare it against the bytes left, never add it.
+    if (frame.len >= data.size() - frame.payload_pos) {
       load.notes.push_back("torn tail at byte " + std::to_string(pos) +
                            ": frame truncated mid-payload");
       break;
@@ -334,14 +340,11 @@ FrameLogLoad LoadFrameLog(const std::string& path) {
     raw.kind = frame.kind;
     raw.payload = std::move(payload);
     raw.offset = pos;
-    raw.end = frame.payload_pos + frame.len + 1;
-    pos = raw.end;
+    pos = frame.payload_pos + frame.len + 1;
     load.frames.push_back(std::move(raw));
   }
 
   load.valid_prefix_bytes = pos;
-  load.torn_bytes = data.size() - pos;
-  load.torn_tail = load.torn_bytes > 0;
   return load;
 }
 

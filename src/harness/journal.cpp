@@ -1,459 +1,229 @@
 #include "harness/journal.h"
 
-#include <string_view>
-#include <utility>
-
-#include "common/check.h"
+#include <exception>
 
 namespace mlpm::harness {
 
-using wire::Field;
-using wire::ParseDouble;
-using wire::ParseU64;
-using wire::PayloadParser;
-using wire::PutB;
-using wire::PutD;
-using wire::PutDV;
-using wire::PutL;
-using wire::PutS;
-using wire::PutU;
-using wire::PutUV;
+// ---- field lists ------------------------------------------------------
 
-// ---- TestResult codec -------------------------------------------------
+namespace {
 
-std::string EncodeTestResult(const loadgen::TestResult& r) {
-  std::string out;
-  PutU(out, "scenario", static_cast<std::uint64_t>(r.scenario));
-  PutU(out, "mode", static_cast<std::uint64_t>(r.mode));
-  PutDV(out, "latencies_s", r.latencies_s);
-  PutD(out, "duration_s", r.duration_s);
-  PutU(out, "sample_count", r.sample_count);
-  PutD(out, "percentile_latency_s", r.percentile_latency_s);
-  PutD(out, "mean_latency_s", r.mean_latency_s);
-  PutD(out, "throughput_sps", r.throughput_sps);
-  PutB(out, "min_duration_met", r.min_duration_met);
-  PutB(out, "min_query_count_met", r.min_query_count_met);
-  PutB(out, "latency_bound_met", r.latency_bound_met);
-  PutB(out, "shed_bound_met", r.shed_bound_met);
-  PutU(out, "dropped_count", r.dropped_count);
-  PutU(out, "timed_out_count", r.timed_out_count);
-  PutU(out, "duplicate_count", r.duplicate_count);
-  PutU(out, "unknown_count", r.unknown_count);
-  PutU(out, "shed_count", r.shed_count);
-  PutU(out, "rejected_count", r.rejected_count);
-  PutU(out, "issued_count", r.issued_count);
-  PutL(out, "error_log", r.error_log);
-  PutS(out, "invalid_reason", r.invalid_reason);
-  PutS(out, "log", r.log.Serialize());
-  return out;
-}
-
-loadgen::TestResult DecodeTestResult(const std::string& payload) {
-  loadgen::TestResult r;
-  PayloadParser parser(payload);
-  Field f;
-  while (parser.Next(f)) {
-    if (f.key == "scenario") {
-      const std::uint64_t v = ParseU64(f.scalar);
-      Expects(v <= 3, "journal: bad scenario " + f.scalar);
-      r.scenario = static_cast<loadgen::TestScenario>(v);
-    } else if (f.key == "mode") {
-      const std::uint64_t v = ParseU64(f.scalar);
-      Expects(v <= 1, "journal: bad mode " + f.scalar);
-      r.mode = static_cast<loadgen::TestMode>(v);
-    } else if (f.key == "latencies_s") {
-      r.latencies_s = std::move(f.doubles);
-    } else if (f.key == "duration_s") {
-      r.duration_s = ParseDouble(f.scalar);
-    } else if (f.key == "sample_count") {
-      r.sample_count = ParseU64(f.scalar);
-    } else if (f.key == "percentile_latency_s") {
-      r.percentile_latency_s = ParseDouble(f.scalar);
-    } else if (f.key == "mean_latency_s") {
-      r.mean_latency_s = ParseDouble(f.scalar);
-    } else if (f.key == "throughput_sps") {
-      r.throughput_sps = ParseDouble(f.scalar);
-    } else if (f.key == "min_duration_met") {
-      r.min_duration_met = f.scalar == "1";
-    } else if (f.key == "min_query_count_met") {
-      r.min_query_count_met = f.scalar == "1";
-    } else if (f.key == "latency_bound_met") {
-      r.latency_bound_met = f.scalar == "1";
-    } else if (f.key == "shed_bound_met") {
-      r.shed_bound_met = f.scalar == "1";
-    } else if (f.key == "dropped_count") {
-      r.dropped_count = ParseU64(f.scalar);
-    } else if (f.key == "timed_out_count") {
-      r.timed_out_count = ParseU64(f.scalar);
-    } else if (f.key == "duplicate_count") {
-      r.duplicate_count = ParseU64(f.scalar);
-    } else if (f.key == "unknown_count") {
-      r.unknown_count = ParseU64(f.scalar);
-    } else if (f.key == "shed_count") {
-      r.shed_count = ParseU64(f.scalar);
-    } else if (f.key == "rejected_count") {
-      r.rejected_count = ParseU64(f.scalar);
-    } else if (f.key == "issued_count") {
-      r.issued_count = ParseU64(f.scalar);
-    } else if (f.key == "error_log") {
-      r.error_log = std::move(f.strings);
-    } else if (f.key == "invalid_reason") {
-      r.invalid_reason = std::move(f.bytes);
-    } else if (f.key == "log") {
-      r.log = loadgen::TestLog::Parse(f.bytes);
-    }
-    // Unknown keys are skipped: older binaries read newer journals.
-  }
-  return r;
-}
-
-// ---- task record codec ------------------------------------------------
-
-std::string EncodeTaskRecord(const TaskRunResult& tr) {
-  std::string out;
-  PutS(out, "task", tr.entry.id);
-  PutU(out, "numerics", static_cast<std::uint64_t>(tr.numerics));
-  PutS(out, "framework", tr.framework_name);
-  PutS(out, "accelerator", tr.accelerator_label);
-  PutD(out, "accuracy", tr.accuracy);
-  PutD(out, "fp32_reference", tr.fp32_reference);
-  PutD(out, "ratio_to_fp32", tr.ratio_to_fp32);
-  PutB(out, "quality_passed", tr.quality_passed);
-  PutUV(out, "calibration_indices", tr.calibration_indices);
-  PutU(out, "accuracy_sample_count", tr.accuracy_sample_count);
-  PutU(out, "dataset_size", tr.dataset_size);
-  if (tr.single_stream)
-    PutS(out, "single_stream", EncodeTestResult(*tr.single_stream));
-  if (tr.offline) PutS(out, "offline", EncodeTestResult(*tr.offline));
-  PutD(out, "energy_per_inference_j", tr.energy_per_inference_j);
-  PutD(out, "peak_temperature_c", tr.peak_temperature_c);
-  PutU(out, "peak_arena_bytes", tr.peak_arena_bytes);
-  PutU(out, "naive_activation_bytes", tr.naive_activation_bytes);
-  PutU(out, "status", static_cast<std::uint64_t>(tr.status));
-  PutS(out, "status_detail", tr.status_detail);
-  PutU(out, "fault_count", tr.fault_count);
-  PutU(out, "degradation_count", tr.degradation_count);
-  PutU(out, "shed_count", tr.shed_count);
-  PutU(out, "rejected_count", tr.rejected_count);
-  PutU(out, "breaker_trips", tr.breaker_trips);
-  PutB(out, "degraded_to_cpu", tr.degraded_to_cpu);
-  PutU(out, "performance_attempts",
-       static_cast<std::uint64_t>(tr.performance_attempts));
-  PutS(out, "fault_log", tr.fault_log);
-  PutU(out, "lint_error_count", tr.lint_error_count);
-  PutU(out, "lint_warning_count", tr.lint_warning_count);
-  PutS(out, "lint_log", tr.lint_log);
-  PutS(out, "kernel_isa", tr.kernel_isa);
-  PutB(out, "transform_requested", tr.transform_requested);
-  PutB(out, "transform_applied", tr.transform_applied);
-  PutS(out, "transform_passes", tr.transform_passes);
-  PutU(out, "transform_rewrites", tr.transform_rewrites);
-  PutU(out, "transform_nodes_before", tr.transform_nodes_before);
-  PutU(out, "transform_nodes_after", tr.transform_nodes_after);
-  PutS(out, "transform_detail", tr.transform_detail);
-  PutB(out, "tiling_requested", tr.tiling_requested);
-  PutB(out, "tiling_applied", tr.tiling_applied);
-  PutU(out, "tile_segments", tr.tile_segments);
-  PutU(out, "tile_rows", static_cast<std::uint64_t>(tr.tile_rows));
-  PutU(out, "tile_slab_bytes", tr.tile_slab_bytes);
+constexpr auto kTaskFields = [](auto& v, auto& r) {
+  v.Required("task", r.entry.id);
+  v("numerics", r.numerics, DataType::kInt32);
+  v("framework", r.framework_name);
+  v("accelerator", r.accelerator_label);
+  v("accuracy", r.accuracy);
+  v("fp32_reference", r.fp32_reference);
+  v("ratio_to_fp32", r.ratio_to_fp32);
+  v("quality_passed", r.quality_passed);
+  v("calibration_indices", r.calibration_indices);
+  v("accuracy_sample_count", r.accuracy_sample_count);
+  v("dataset_size", r.dataset_size);
+  v.Nested("single_stream", r.single_stream, kTestResultFields);
+  v.Nested("offline", r.offline, kTestResultFields);
+  v("energy_per_inference_j", r.energy_per_inference_j);
+  v("peak_temperature_c", r.peak_temperature_c);
+  v("peak_arena_bytes", r.peak_arena_bytes);
+  v("naive_activation_bytes", r.naive_activation_bytes);
+  v("status", r.status, TaskStatus::kErrored);
+  v("status_detail", r.status_detail);
+  v("fault_count", r.fault_count);
+  v("degradation_count", r.degradation_count);
+  v("shed_count", r.shed_count);
+  v("rejected_count", r.rejected_count);
+  v("breaker_trips", r.breaker_trips);
+  v("degraded_to_cpu", r.degraded_to_cpu);
+  v("performance_attempts", r.performance_attempts);
+  v("fault_log", r.fault_log);
+  v("lint_error_count", r.lint_error_count);
+  v("lint_warning_count", r.lint_warning_count);
+  v("lint_log", r.lint_log);
+  v("kernel_isa", r.kernel_isa);
+  v("transform_requested", r.transform_requested);
+  v("transform_applied", r.transform_applied);
+  v("transform_passes", r.transform_passes);
+  v("transform_rewrites", r.transform_rewrites);
+  v("transform_nodes_before", r.transform_nodes_before);
+  v("transform_nodes_after", r.transform_nodes_after);
+  v("transform_detail", r.transform_detail);
+  v("tiling_requested", r.tiling_requested);
+  v("tiling_applied", r.tiling_applied);
+  v("tile_segments", r.tile_segments);
+  v("tile_rows", r.tile_rows);  // -1 (auto) travels as its u64 image
+  v("tile_slab_bytes", r.tile_slab_bytes);
   // accuracy_outputs are deliberately not journaled: they are only needed
   // transiently for scoring, and the derived score is recorded above.
-  return out;
+};
+
+constexpr auto kMetaFields = [](auto& v, auto& m) {
+  v.Required("chipset", m.chipset);
+  v.Required("version", m.version);
+  v("seed", m.seed);
+  v("config_hash", m.config_hash);
+};
+
+}  // namespace
+
+std::string EncodeTaskRecord(const TaskRunResult& tr) {
+  return wire::Encode(tr, kTaskFields);
 }
 
 TaskRunResult DecodeTaskRecord(const std::string& payload) {
-  TaskRunResult tr;
-  PayloadParser parser(payload);
-  Field f;
-  while (parser.Next(f)) {
-    if (f.key == "task") {
-      tr.entry.id = std::move(f.bytes);
-    } else if (f.key == "numerics") {
-      const std::uint64_t v = ParseU64(f.scalar);
-      Expects(v <= 4, "journal: bad numerics " + f.scalar);
-      tr.numerics = static_cast<DataType>(v);
-    } else if (f.key == "framework") {
-      tr.framework_name = std::move(f.bytes);
-    } else if (f.key == "accelerator") {
-      tr.accelerator_label = std::move(f.bytes);
-    } else if (f.key == "accuracy") {
-      tr.accuracy = ParseDouble(f.scalar);
-    } else if (f.key == "fp32_reference") {
-      tr.fp32_reference = ParseDouble(f.scalar);
-    } else if (f.key == "ratio_to_fp32") {
-      tr.ratio_to_fp32 = ParseDouble(f.scalar);
-    } else if (f.key == "quality_passed") {
-      tr.quality_passed = f.scalar == "1";
-    } else if (f.key == "calibration_indices") {
-      tr.calibration_indices.assign(f.uints.begin(), f.uints.end());
-    } else if (f.key == "accuracy_sample_count") {
-      tr.accuracy_sample_count = ParseU64(f.scalar);
-    } else if (f.key == "dataset_size") {
-      tr.dataset_size = ParseU64(f.scalar);
-    } else if (f.key == "single_stream") {
-      tr.single_stream = DecodeTestResult(f.bytes);
-    } else if (f.key == "offline") {
-      tr.offline = DecodeTestResult(f.bytes);
-    } else if (f.key == "energy_per_inference_j") {
-      tr.energy_per_inference_j = ParseDouble(f.scalar);
-    } else if (f.key == "peak_temperature_c") {
-      tr.peak_temperature_c = ParseDouble(f.scalar);
-    } else if (f.key == "peak_arena_bytes") {
-      tr.peak_arena_bytes = ParseU64(f.scalar);
-    } else if (f.key == "naive_activation_bytes") {
-      tr.naive_activation_bytes = ParseU64(f.scalar);
-    } else if (f.key == "status") {
-      const std::uint64_t v = ParseU64(f.scalar);
-      Expects(v <= 3, "journal: bad status " + f.scalar);
-      tr.status = static_cast<TaskStatus>(v);
-    } else if (f.key == "status_detail") {
-      tr.status_detail = std::move(f.bytes);
-    } else if (f.key == "fault_count") {
-      tr.fault_count = ParseU64(f.scalar);
-    } else if (f.key == "degradation_count") {
-      tr.degradation_count = ParseU64(f.scalar);
-    } else if (f.key == "shed_count") {
-      tr.shed_count = ParseU64(f.scalar);
-    } else if (f.key == "rejected_count") {
-      tr.rejected_count = ParseU64(f.scalar);
-    } else if (f.key == "breaker_trips") {
-      tr.breaker_trips = ParseU64(f.scalar);
-    } else if (f.key == "degraded_to_cpu") {
-      tr.degraded_to_cpu = f.scalar == "1";
-    } else if (f.key == "performance_attempts") {
-      tr.performance_attempts = static_cast<int>(ParseU64(f.scalar));
-    } else if (f.key == "fault_log") {
-      tr.fault_log = std::move(f.bytes);
-    } else if (f.key == "lint_error_count") {
-      tr.lint_error_count = ParseU64(f.scalar);
-    } else if (f.key == "lint_warning_count") {
-      tr.lint_warning_count = ParseU64(f.scalar);
-    } else if (f.key == "lint_log") {
-      tr.lint_log = std::move(f.bytes);
-    } else if (f.key == "kernel_isa") {
-      tr.kernel_isa = std::move(f.bytes);
-    } else if (f.key == "transform_requested") {
-      tr.transform_requested = f.scalar == "1";
-    } else if (f.key == "transform_applied") {
-      tr.transform_applied = f.scalar == "1";
-    } else if (f.key == "transform_passes") {
-      tr.transform_passes = std::move(f.bytes);
-    } else if (f.key == "transform_rewrites") {
-      tr.transform_rewrites = ParseU64(f.scalar);
-    } else if (f.key == "transform_nodes_before") {
-      tr.transform_nodes_before = ParseU64(f.scalar);
-    } else if (f.key == "transform_nodes_after") {
-      tr.transform_nodes_after = ParseU64(f.scalar);
-    } else if (f.key == "transform_detail") {
-      tr.transform_detail = std::move(f.bytes);
-    } else if (f.key == "tiling_requested") {
-      tr.tiling_requested = f.scalar == "1";
-    } else if (f.key == "tiling_applied") {
-      tr.tiling_applied = f.scalar == "1";
-    } else if (f.key == "tile_segments") {
-      tr.tile_segments = ParseU64(f.scalar);
-    } else if (f.key == "tile_rows") {
-      // Stored as the two's-complement u64 image (-1 = auto round-trips).
-      tr.tile_rows = static_cast<std::int64_t>(ParseU64(f.scalar));
-    } else if (f.key == "tile_slab_bytes") {
-      tr.tile_slab_bytes = ParseU64(f.scalar);
-    }
-  }
-  Expects(!tr.entry.id.empty(), "journal: record without a task id");
-  return tr;
+  return wire::Decode<TaskRunResult>(payload, kTaskFields);
 }
 
 std::string EncodeMeta(const JournalMeta& meta) {
-  std::string out;
-  PutS(out, "chipset", meta.chipset);
-  PutS(out, "version", meta.version);
-  PutU(out, "seed", meta.seed);
-  PutU(out, "config_hash", meta.config_hash);
-  return out;
+  return wire::Encode(meta, kMetaFields);
 }
 
 JournalMeta DecodeMeta(const std::string& payload) {
-  JournalMeta meta;
-  PayloadParser parser(payload);
-  Field f;
-  while (parser.Next(f)) {
-    if (f.key == "chipset") meta.chipset = std::move(f.bytes);
-    else if (f.key == "version") meta.version = std::move(f.bytes);
-    else if (f.key == "seed") meta.seed = ParseU64(f.scalar);
-    else if (f.key == "config_hash") meta.config_hash = ParseU64(f.scalar);
-  }
-  Expects(!meta.chipset.empty() && !meta.version.empty(),
-          "journal: meta missing chipset/version");
-  return meta;
+  return wire::Decode<JournalMeta>(payload, kMetaFields);
 }
 
-// ---- run-config digest ------------------------------------------------
+// ---- config digests ---------------------------------------------------
+
+void ConfigText::Add(std::string_view key, std::string_view value) {
+  text_ += key;
+  text_ += '=';
+  text_ += value;
+  text_ += ';';
+}
+
+void ConfigText::AddU(std::string_view key, std::uint64_t value) {
+  Add(key, std::to_string(value));
+}
+
+void ConfigText::AddD(std::string_view key, double value) {
+  Add(key, wire::HexDouble(value));
+}
+
+void ConfigText::Add(const loadgen::TestSettings& s) {
+  AddU("seed", s.seed);
+  AddU("min_query_count", s.min_query_count);
+  AddD("min_duration_s", s.min_duration.count());
+  AddU("offline_sample_count", s.offline_sample_count);
+  AddD("latency_percentile", s.latency_percentile);
+  AddD("server_target_qps", s.server_target_qps);
+  AddD("server_latency_bound_s", s.server_latency_bound.count());
+  AddU("server_query_count", s.server_query_count);
+  AddU("server_max_queue_depth", s.server_max_queue_depth);
+  AddD("server_max_shed_fraction", s.server_max_shed_fraction);
+  AddU("multistream_samples_per_query", s.multistream_samples_per_query);
+  AddD("multistream_interval_s", s.multistream_interval.count());
+  AddU("multistream_query_count", s.multistream_query_count);
+  AddU("performance_sample_count", s.performance_sample_count);
+  AddD("query_timeout_s", s.query_timeout.count());
+}
+
+void ConfigText::Add(const soc::FaultPlan& plan) {
+  AddU("fault_seed", plan.seed);
+  for (const soc::FaultSpec& spec : plan.specs) {
+    Add("fault_kind", ToString(spec.kind));
+    AddD("fault_probability", spec.probability);
+    AddD("fault_stall_scale", spec.stall_scale);
+    AddD("fault_crash_latency_fraction", spec.crash_latency_fraction);
+  }
+}
+
+void ConfigText::Add(const backends::CircuitBreakerOptions& cb) {
+  AddU("cb_trip_threshold", static_cast<std::uint64_t>(cb.trip_threshold));
+  AddD("cb_open_duration_s", cb.open_duration_s);
+  AddD("cb_backoff_factor", cb.backoff_factor);
+  AddD("cb_max_open_duration_s", cb.max_open_duration_s);
+  AddD("cb_probe_jitter_frac", cb.probe_jitter_frac);
+  AddU("cb_seed", cb.seed);
+  AddD("cb_rejection_latency_s", cb.rejection_latency_s);
+}
 
 std::uint64_t HashRunConfig(const soc::ChipsetDesc& chipset,
                             models::SuiteVersion version,
                             const RunOptions& o) {
-  std::string canon;
-  const auto add = [&canon](std::string_view key, const std::string& value) {
-    canon += key;
-    canon += '=';
-    canon += value;
-    canon += ';';
-  };
-  const auto add_d = [&](std::string_view key, double v) {
-    add(key, wire::HexDouble(v));
-  };
-  const auto add_u = [&](std::string_view key, std::uint64_t v) {
-    add(key, std::to_string(v));
-  };
-
-  add("chipset", chipset.name);
-  add("version", std::string(ToString(version)));
-  add_u("run_accuracy", o.run_accuracy ? 1 : 0);
-  add_u("run_performance", o.run_performance ? 1 : 0);
-  add_u("run_offline", o.run_offline ? 1 : 0);
-  add_d("cooldown_s", o.cooldown_s);
-  add_u("end_to_end", o.end_to_end ? 1 : 0);
-  add_u("use_qat_weights", o.use_qat_weights ? 1 : 0);
-  add_u("max_test_retries", static_cast<std::uint64_t>(o.max_test_retries));
-  add_u("lint", static_cast<std::uint64_t>(o.lint));
+  ConfigText canon;
+  canon.Add("chipset", chipset.name);
+  canon.Add("version", ToString(version));
+  canon.AddU("run_accuracy", o.run_accuracy ? 1 : 0);
+  canon.AddU("run_performance", o.run_performance ? 1 : 0);
+  canon.AddU("run_offline", o.run_offline ? 1 : 0);
+  canon.AddD("cooldown_s", o.cooldown_s);
+  canon.AddU("end_to_end", o.end_to_end ? 1 : 0);
+  canon.AddU("use_qat_weights", o.use_qat_weights ? 1 : 0);
+  canon.AddU("max_test_retries",
+             static_cast<std::uint64_t>(o.max_test_retries));
+  canon.AddU("lint", static_cast<std::uint64_t>(o.lint));
   // The *requested* ISA, not the resolved one: the hash guards against
   // mixing journals from differently-configured runs, and f32 accuracy
   // results differ across kernel tables.
-  add("kernel_isa", std::string(ToString(o.kernel_isa)));
+  canon.Add("kernel_isa", ToString(o.kernel_isa));
   // The transform stage changes the executed graph, so resumed accuracy
   // results are only interchangeable within one setting of it.
-  add_u("transform", o.transform ? 1 : 0);
+  canon.AddU("transform", o.transform ? 1 : 0);
   // Tiling is bit-identical to whole-op execution, but the memory-plan
   // figures and applied/segment fields in each record depend on it, so
   // journals are only interchangeable within one tiling configuration.
-  add_u("tiling", o.tiling.enabled ? 1 : 0);
-  add_u("tile_rows", static_cast<std::uint64_t>(o.tiling.rows));
-  add_u("tile_cache_bytes", o.tiling.cache_bytes);
-
-  const loadgen::TestSettings& s = o.performance_settings;
-  add_u("seed", s.seed);
-  add_u("min_query_count", s.min_query_count);
-  add_d("min_duration_s", s.min_duration.count());
-  add_u("offline_sample_count", s.offline_sample_count);
-  add_d("latency_percentile", s.latency_percentile);
-  add_d("server_target_qps", s.server_target_qps);
-  add_d("server_latency_bound_s", s.server_latency_bound.count());
-  add_u("server_query_count", s.server_query_count);
-  add_u("server_max_queue_depth", s.server_max_queue_depth);
-  add_d("server_max_shed_fraction", s.server_max_shed_fraction);
-  add_u("multistream_samples_per_query", s.multistream_samples_per_query);
-  add_d("multistream_interval_s", s.multistream_interval.count());
-  add_u("multistream_query_count", s.multistream_query_count);
-  add_u("performance_sample_count", s.performance_sample_count);
-  add_d("query_timeout_s", s.query_timeout.count());
-
+  canon.AddU("tiling", o.tiling.enabled ? 1 : 0);
+  canon.AddU("tile_rows", static_cast<std::uint64_t>(o.tiling.rows));
+  canon.AddU("tile_cache_bytes", o.tiling.cache_bytes);
+  canon.Add(o.performance_settings);
   if (o.fault_plan) {
-    add_u("fault_seed", o.fault_plan->seed);
-    for (const soc::FaultSpec& spec : o.fault_plan->specs) {
-      add("fault_kind", std::string(ToString(spec.kind)));
-      add_d("fault_probability", spec.probability);
-      add_d("fault_stall_scale", spec.stall_scale);
-      add_d("fault_crash_latency_fraction", spec.crash_latency_fraction);
-    }
+    canon.Add(*o.fault_plan);
     const backends::FaultToleranceOptions& ft = o.fault_tolerance;
-    add_u("ft_max_attempts", static_cast<std::uint64_t>(ft.max_attempts));
-    add_d("ft_backoff_base_s", ft.backoff_base_s);
-    add_u("ft_crash_fallback_threshold",
-          static_cast<std::uint64_t>(ft.crash_fallback_threshold));
-    add_d("ft_emergency_cooldown_s", ft.emergency_cooldown_s);
-    add_d("ft_backoff_jitter_frac", ft.backoff_jitter_frac);
-    add_u("ft_backoff_seed", ft.backoff_seed);
+    canon.AddU("ft_max_attempts", static_cast<std::uint64_t>(ft.max_attempts));
+    canon.AddD("ft_backoff_base_s", ft.backoff_base_s);
+    canon.AddU("ft_crash_fallback_threshold",
+               static_cast<std::uint64_t>(ft.crash_fallback_threshold));
+    canon.AddD("ft_emergency_cooldown_s", ft.emergency_cooldown_s);
+    canon.AddD("ft_backoff_jitter_frac", ft.backoff_jitter_frac);
+    canon.AddU("ft_backoff_seed", ft.backoff_seed);
   }
-  if (o.circuit_breaker) {
-    const backends::CircuitBreakerOptions& cb = *o.circuit_breaker;
-    add_u("cb_trip_threshold", static_cast<std::uint64_t>(cb.trip_threshold));
-    add_d("cb_open_duration_s", cb.open_duration_s);
-    add_d("cb_backoff_factor", cb.backoff_factor);
-    add_d("cb_max_open_duration_s", cb.max_open_duration_s);
-    add_d("cb_probe_jitter_frac", cb.probe_jitter_frac);
-    add_u("cb_seed", cb.seed);
-    add_d("cb_rejection_latency_s", cb.rejection_latency_s);
-  }
+  if (o.circuit_breaker) canon.Add(*o.circuit_breaker);
   // threads / profile / trace_path / journal_path are excluded: they do
   // not change any result field.
-  return Fnv1a64(canon);
+  return canon.Hash();
 }
 
 // ---- loader -----------------------------------------------------------
 
-JournalLoad LoadJournal(const std::string& path) {
-  JournalLoad load;
-  const FrameLogLoad raw = LoadFrameLog(path);
-
-  // Interpret the physically-intact frames: the first must be the meta
-  // frame, the rest task records.  A frame that violates that — or is
-  // checksum-clean but undecodable (format bug, version skew) — cuts the
-  // valid prefix right before it, like a torn tail.
+JournalState ScanJournal(
+    const std::string& path, std::string_view record_kind,
+    const std::function<void(const std::string&)>& decode_meta,
+    const std::function<void(const std::string&)>& decode_record) {
+  JournalState state;
+  FrameLogLoad raw;
+  try {
+    raw = LoadFrameLog(path);
+  } catch (const std::exception& e) {
+    state.unreadable = true;
+    state.notes = {"cannot read journal " + path + ": " + e.what()};
+    return state;
+  }
+  state.notes = raw.notes;
   std::size_t pos = raw.valid_prefix_bytes;
-  bool interpreted_all = true;
   for (const RawFrame& frame : raw.frames) {
-    const bool first_frame = !load.meta_valid && load.tasks.empty();
-    try {
-      if (first_frame) {
-        if (frame.kind != "meta") {
-          load.notes.push_back("first frame is '" + frame.kind +
-                               "', expected 'meta'");
-          pos = frame.offset;
-          interpreted_all = false;
-          break;
-        }
-        load.meta = DecodeMeta(frame.payload);
-        load.meta_valid = true;
-      } else {
-        if (frame.kind != "rec") {
-          load.notes.push_back("unexpected '" + frame.kind +
-                               "' frame after the meta frame");
-          pos = frame.offset;
-          interpreted_all = false;
-          break;
-        }
-        load.tasks.push_back(DecodeTaskRecord(frame.payload));
-        ++load.intact_records;
+    const bool first = !state.meta_valid;
+    const std::string_view expected = first ? "meta" : record_kind;
+    std::string problem;
+    if (frame.kind != expected) {
+      problem = "expected a '" + std::string(expected) + "' frame";
+    } else {
+      try {
+        (first ? decode_meta : decode_record)(frame.payload);
+      } catch (const std::exception& e) {
+        problem = "undecodable, " + std::string(e.what());
       }
-    } catch (const std::exception& e) {
-      load.notes.push_back("undecodable '" + frame.kind + "' frame at byte " +
-                           std::to_string(frame.offset) + ": " + e.what());
+    }
+    if (!problem.empty()) {
+      state.notes = {"cut at byte " + std::to_string(frame.offset) + ", '" +
+                     frame.kind + "' frame: " + problem};
       pos = frame.offset;
-      interpreted_all = false;
       break;
     }
+    state.meta_valid = true;
   }
-  // Physical damage past the interpreted prefix only matters if the
-  // interpretation got that far; an earlier semantic cut supersedes it.
-  if (interpreted_all)
-    load.notes.insert(load.notes.end(), raw.notes.begin(), raw.notes.end());
-
-  load.valid_prefix_bytes = pos;
-  load.torn_bytes = raw.file_size - pos;
-  load.torn_tail = load.torn_bytes > 0;
-  return load;
-}
-
-// ---- writer -----------------------------------------------------------
-
-JournalWriter JournalWriter::Open(const std::string& path,
-                                  const JournalMeta& meta, bool resume) {
-  if (resume) {
-    const JournalLoad existing = LoadJournal(path);
-    if (existing.meta_valid && existing.meta.Matches(meta)) {
-      return JournalWriter(
-          FrameLogWriter::OpenAt(path, existing.valid_prefix_bytes));
-    }
-    // Missing, damaged beyond the meta frame, or a different run's
-    // journal: fall through and start fresh.
-  }
-  JournalWriter writer(FrameLogWriter::Create(path));
-  writer.log_.AppendFrame("meta", EncodeMeta(meta));
-  return writer;
-}
-
-void JournalWriter::Append(const TaskRunResult& tr) {
-  log_.AppendFrame("rec", EncodeTaskRecord(tr));
+  state.valid_prefix_bytes = pos;
+  state.torn_bytes = raw.file_size - pos;
+  state.torn_tail = state.torn_bytes > 0;
+  return state;
 }
 
 }  // namespace mlpm::harness

@@ -1,5 +1,6 @@
 #include "harness/run_session.h"
 
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -148,22 +149,19 @@ SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
   // identical configuration are replayed instead of re-run.  An errored
   // record is never replayed — a resumed run retries it.
   std::map<std::string, TaskRunResult> replayable;
-  std::optional<JournalWriter> journal;
+  std::unique_ptr<SubmissionJournal::Writer> journal;
   if (!options.journal_path.empty()) {
     JournalMeta meta;
     meta.chipset = chipset.name;
     meta.version = std::string(ToString(version));
     meta.seed = options.performance_settings.seed;
     meta.config_hash = HashRunConfig(chipset, version, options);
-    if (options.resume) {
-      JournalLoad prior = LoadJournal(options.journal_path);
-      if (prior.meta_valid && prior.meta.Matches(meta))
-        for (TaskRunResult& t : prior.tasks)
-          if (t.status != TaskStatus::kErrored)
-            replayable.insert_or_assign(t.entry.id, std::move(t));
-    }
-    journal.emplace(
-        JournalWriter::Open(options.journal_path, meta, options.resume));
+    SubmissionJournal::Opened opened =
+        kSubmissionJournal.Open(options.journal_path, meta, options.resume);
+    for (TaskRunResult& t : opened.replay.records)
+      if (t.status != TaskStatus::kErrored)
+        replayable.insert_or_assign(t.entry.id, std::move(t));
+    journal = std::move(opened.writer);
   }
 
   // The prescribed task order is the suite order (§6.1).  One task blowing

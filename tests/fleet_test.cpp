@@ -5,6 +5,7 @@
 // bisection behavior (monotone convergence, errored probes, the shed
 // bound).
 #include <atomic>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -221,10 +222,10 @@ TEST(Fleet, KillAndResumeReplaysIntactShardsToIdenticalReport) {
   ASSERT_LT(partial.shards.size(), 8u);
 
   // The journal holds exactly the finished shards, intact.
-  const fleet::FleetJournalLoad load = fleet::LoadFleetJournal(path);
+  const fleet::FleetJournal::Load load = fleet::kFleetJournal.Read(path);
   ASSERT_TRUE(load.meta_valid);
   EXPECT_FALSE(load.torn_tail);
-  EXPECT_EQ(load.shards.size(), partial.shards.size());
+  EXPECT_EQ(load.records.size(), partial.shards.size());
 
   // Resumed run: replays the journal, runs the rest, matches byte-for-byte.
   fleet::FleetOptions resumed = fo;
@@ -256,6 +257,41 @@ TEST(Fleet, ResumeIgnoresJournalOfDifferentConfiguration) {
   const fleet::FleetReport second = fleet::RunFleet(other);
   EXPECT_EQ(second.resumed_shards, 0u);
   EXPECT_EQ(second.shards.size(), 4u);
+
+  // Same seed and shard count, different settings: only the config hash
+  // differs, and that alone forces a re-run.
+  fleet::FleetOptions resized = other;
+  resized.settings.server_query_count = 200;
+  const fleet::FleetReport third = fleet::RunFleet(resized);
+  EXPECT_EQ(third.resumed_shards, 0u);
+
+  // Each mismatched resume replaced the journal rather than appending to
+  // it: the file holds the last run's meta and exactly its four shards.
+  const fleet::FleetJournal::Load load = fleet::kFleetJournal.Read(path);
+  ASSERT_TRUE(load.meta_valid);
+  EXPECT_EQ(load.meta.seed, other.settings.seed);
+  EXPECT_EQ(load.meta.config_hash,
+            fleet::HashFleetConfig(resized, fleet::DefaultFleetMix(
+                                                resized.version)));
+  EXPECT_NE(load.meta.config_hash,
+            fleet::HashFleetConfig(other, fleet::DefaultFleetMix(
+                                              other.version)));
+  EXPECT_FALSE(load.torn_tail);
+  ASSERT_EQ(load.records.size(), 4u);
+  EXPECT_EQ(fleet::ShardsById(load.records).size(), 4u);
+}
+
+TEST(Fleet, ShardJournaledTwiceReplaysItsLaterRecord) {
+  std::vector<fleet::ShardResult> records(3);
+  records[0].shard_id = 1;
+  records[0].config_key = "first";
+  records[1].shard_id = 0;
+  records[2].shard_id = 1;
+  records[2].config_key = "later";
+  const std::map<std::size_t, fleet::ShardResult> shards =
+      fleet::ShardsById(records);
+  ASSERT_EQ(shards.size(), 2u);
+  EXPECT_EQ(shards.at(1).config_key, "later");
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 //   1  journal is damaged but resumable (torn tail / bad records were cut)
 //   2  journal is unreadable (missing file, bad header or meta frame)
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -40,10 +41,25 @@ std::vector<models::BenchmarkEntry> SuiteForVersionName(
   return {};
 }
 
+// Notes and torn tail, the same for both journal types; returns the exit
+// status (1 when a resume would cut bytes).
+int PrintDamage(const harness::JournalState& load) {
+  for (const std::string& n : load.notes)
+    std::printf("  note: %s\n", n.c_str());
+  if (!load.torn_tail) return 0;
+  std::printf("  torn tail: %zu byte(s) after offset %zu would be "
+              "truncated on resume\n",
+              load.torn_bytes, load.valid_prefix_bytes);
+  return 1;
+}
+
 // Fleet-journal path (DESIGN.md §16): shard frames keyed by id, resume
 // replays intact shards and re-runs the rest.
 int InspectFleetJournal(const std::string& path,
-                        const fleet::FleetJournalLoad& load, bool verbose) {
+                        const fleet::FleetJournal::Load& load, bool verbose) {
+  const std::map<std::size_t, fleet::ShardResult> shards =
+      fleet::ShardsById(load.records);
+
   std::printf("fleet journal: %s\n", path.c_str());
   std::printf("  version:     %s\n", load.meta.version.c_str());
   std::printf("  seed:        %llu\n",
@@ -52,9 +68,9 @@ int InspectFleetJournal(const std::string& path,
               static_cast<unsigned long long>(load.meta.shard_count));
   std::printf("  config hash: %016llx\n",
               static_cast<unsigned long long>(load.meta.config_hash));
-  std::printf("  records:     %zu intact shard(s)\n", load.shards.size());
+  std::printf("  records:     %zu intact shard(s)\n", shards.size());
 
-  for (const auto& [id, shard] : load.shards) {
+  for (const auto& [id, shard] : shards) {
     const std::string status{ToString(shard.state)};
     std::printf("  shard %-4zu %-15s slo=%s %s\n", id, status.c_str(),
                 shard.slo_met ? "yes" : "no", shard.config_key.c_str());
@@ -65,17 +81,11 @@ int InspectFleetJournal(const std::string& path,
     }
   }
 
-  for (const std::string& n : load.notes)
-    std::printf("  note: %s\n", n.c_str());
-  if (load.torn_tail)
-    std::printf("  torn tail: byte(s) after offset %zu would be truncated "
-                "on resume\n",
-                load.valid_prefix_bytes);
-
+  const int exit_status = PrintDamage(load);
   std::string pending;
   std::size_t missing = 0;
   for (std::size_t id = 0; id < load.meta.shard_count; ++id) {
-    if (load.shards.count(id) != 0) continue;
+    if (shards.count(id) != 0) continue;
     ++missing;
     if (missing <= 8) {
       if (!pending.empty()) pending += ", ";
@@ -84,11 +94,10 @@ int InspectFleetJournal(const std::string& path,
   }
   if (missing > 8) pending += ", ...";
   std::printf("  resume: %zu of %llu shard(s) replayable%s%s\n",
-              load.shards.size(),
+              shards.size(),
               static_cast<unsigned long long>(load.meta.shard_count),
               pending.empty() ? "" : "; pending: ", pending.c_str());
-
-  return load.torn_tail ? 1 : 0;
+  return exit_status;
 }
 
 }  // namespace
@@ -110,10 +119,11 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) return Usage();
 
-  const harness::JournalLoad load = harness::LoadJournal(path);
+  const harness::SubmissionJournal::Load load =
+      harness::kSubmissionJournal.Read(path);
   if (!load.meta_valid) {
     // Same file format, different meta: maybe it's a fleet journal.
-    const fleet::FleetJournalLoad fload = fleet::LoadFleetJournal(path);
+    const fleet::FleetJournal::Load fload = fleet::kFleetJournal.Read(path);
     if (fload.meta_valid) return InspectFleetJournal(path, fload, verbose);
     std::fprintf(stderr, "%s: not a readable journal\n", path.c_str());
     for (const std::string& n : load.notes)
@@ -128,28 +138,22 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(load.meta.seed));
   std::printf("  config hash: %016llx\n",
               static_cast<unsigned long long>(load.meta.config_hash));
-  std::printf("  records:     %zu intact\n", load.intact_records);
+  std::printf("  records:     %zu intact\n", load.records.size());
 
-  for (const harness::TaskRunResult& t : load.tasks) {
+  for (const harness::TaskRunResult& t : load.records) {
     const std::string status{ToString(t.status)};
     std::printf("  rec %-24s status=%s accuracy=%.4f quality=%s\n",
                 t.entry.id.c_str(), status.c_str(), t.accuracy,
                 t.quality_passed ? "pass" : "FAIL");
     if (verbose) {
       std::printf("      faults=%zu shed=%zu rejected=%zu trips=%zu "
-                  "attempts=%zu\n",
+                  "attempts=%d\n",
                   t.fault_count, t.shed_count, t.rejected_count,
                   t.breaker_trips, t.performance_attempts);
     }
   }
 
-  for (const std::string& n : load.notes)
-    std::printf("  note: %s\n", n.c_str());
-  if (load.torn_tail)
-    std::printf("  torn tail: %zu byte(s) after offset %zu would be "
-                "truncated on resume\n",
-                load.torn_bytes, load.valid_prefix_bytes);
-
+  const int exit_status = PrintDamage(load);
   // What a --resume run would actually do: errored records re-run, intact
   // non-errored ones replay, anything absent from the file runs fresh.
   const std::vector<models::BenchmarkEntry> suite =
@@ -159,7 +163,7 @@ int main(int argc, char** argv) {
     std::string pending;
     for (const models::BenchmarkEntry& entry : suite) {
       bool done = false;
-      for (const harness::TaskRunResult& t : load.tasks)
+      for (const harness::TaskRunResult& t : load.records)
         done |= t.entry.id == entry.id &&
                 t.status != harness::TaskStatus::kErrored;
       if (done) {
@@ -173,6 +177,5 @@ int main(int argc, char** argv) {
                 replayable, suite.size(),
                 pending.empty() ? "" : "; pending: ", pending.c_str());
   }
-
-  return load.torn_tail ? 1 : 0;
+  return exit_status;
 }

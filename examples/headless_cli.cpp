@@ -43,9 +43,12 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "fleet/fleet.h"
+#include "fleet/mix.h"
 #include "fleet/report.h"
 #include "harness/app.h"
 #include "harness/export.h"
@@ -79,8 +82,10 @@ struct CliOptions {
   // (<= 0 disables; see soc/faults.h for the full plan vocabulary).
   double crash_probability = 0.0;
   std::uint64_t fault_seed = 0x464C54;
-  // Accuracy-phase worker threads (defaults to hardware concurrency when
-  // the flag is absent; an explicit --threads value must be >= 1).
+  // Host lanes for every parallel phase: the run pool (calibration,
+  // accuracy, FP32 reference) and the process pool (data set synthesis).
+  // Defaults to hardware concurrency when the flag is absent; an explicit
+  // --threads value must be >= 1, and --threads 1 runs everything serially.
   // Results are bit-identical for any value.
   int threads = 0;
   // Kernel table for the accuracy-phase executors: auto picks the best the
@@ -110,7 +115,9 @@ struct CliOptions {
   // Fleet serving mode (DESIGN.md §16): --fleet N runs N sharded device
   // simulators under per-shard Server-scenario LoadGens.  0 = off.
   std::size_t fleet_shards = 0;
-  std::string fleet_mix;       // "<chipset>:<task>[:<weight>];..."
+  // "<chipset>:<task>[:<weight>];...", parsed and resolved at flag time
+  // (empty = the default mix).
+  std::vector<fleet::FleetMixEntry> fleet_mix;
   double fleet_qps = 0.0;      // per-shard Poisson rate (0 = default)
   double fleet_slo_ms = 0.0;   // per-shard latency bound (0 = default)
   std::size_t fleet_queries = 0;  // offered queries per shard (0 = default)
@@ -166,6 +173,19 @@ bool ParseNumber(const char* flag, const std::string& s, T& out,
   return true;
 }
 
+// Runs `check` and reports a CheckError it throws as a usage error of
+// `flag`; returns whether the check passed.
+template <typename Check>
+bool FlagCheck(const char* flag, Check check) {
+  try {
+    check();
+    return true;
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "%s: %s\n", flag, e.what());
+    return false;
+  }
+}
+
 std::optional<CliOptions> Parse(int argc, char** argv) {
   CliOptions o;
   for (int i = 1; i < argc; ++i) {
@@ -196,8 +216,11 @@ std::optional<CliOptions> Parse(int argc, char** argv) {
     } else if (arg == "--e2e") {
       o.end_to_end = true;
     } else if (arg == "--cooldown") {
+      // A negative cooldown breaks the run rules (§6); the RUN002 lint
+      // still covers API callers.
       if (!ParseNumber("--cooldown", value(), o.cooldown_s,
-                       [](double) { return true; }, "seconds"))
+                       [](double v) { return v >= 0.0; },
+                       "a non-negative number of seconds"))
         return std::nullopt;
     } else if (arg == "--csv") {
       o.csv_path = value();
@@ -270,8 +293,10 @@ std::optional<CliOptions> Parse(int argc, char** argv) {
               "a shard count in 1..65536"))
         return std::nullopt;
     } else if (arg == "--fleet-mix") {
-      o.fleet_mix = value();
-      if (o.fleet_mix.empty()) return std::nullopt;
+      const std::string spec = value();
+      if (!FlagCheck("--fleet-mix",
+                     [&] { o.fleet_mix = fleet::ParseFleetMix(spec); }))
+        return std::nullopt;
     } else if (arg == "--fleet-qps") {
       if (!ParseNumber("--fleet-qps", value(), o.fleet_qps,
                        [](double v) { return v > 0.0; }, "a positive rate"))
@@ -299,6 +324,11 @@ std::optional<CliOptions> Parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
+  // Mix names resolve against the suite version, known once every flag is.
+  if (!o.fleet_mix.empty() &&
+      !FlagCheck("--fleet-mix",
+                 [&] { (void)fleet::ResolveMix(o.fleet_mix, o.version); }))
+    return std::nullopt;
   return o;
 }
 
@@ -344,7 +374,7 @@ int RunFleetMode(const CliOptions& opts) {
   fo.kernel_isa = opts.kernel_isa;
   fo.journal_path = opts.journal_path;
   fo.resume = opts.resume;
-  if (!opts.fleet_mix.empty()) fo.mix = fleet::ParseFleetMix(opts.fleet_mix);
+  if (!opts.fleet_mix.empty()) fo.mix = opts.fleet_mix;
   if (opts.fleet_qps > 0.0) fo.settings.server_target_qps = opts.fleet_qps;
   if (opts.fleet_slo_ms > 0.0)
     fo.settings.server_latency_bound = loadgen::Seconds{opts.fleet_slo_ms *
@@ -407,6 +437,9 @@ int main(int argc, char** argv) {
                  " [--fleet-workers N]\n");
     return 2;
   }
+  // --threads sizes the process pool too, so data set synthesis honors it.
+  if (opts->threads > 0)
+    ThreadPool::SetGlobalThreadCount(static_cast<std::size_t>(opts->threads));
   if (opts->fleet_shards > 0) {
     try {
       return RunFleetMode(*opts);

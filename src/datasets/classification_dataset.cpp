@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "datasets/preprocess.h"
 #include "datasets/synthetic_image.h"
+#include "datasets/teacher.h"
 #include "metrics/classification.h"
 
 namespace mlpm::datasets {
@@ -14,48 +15,49 @@ constexpr std::uint64_t kCalibrationSpace = 1'000'000;
 
 ClassificationDataset::ClassificationDataset(
     const graph::Graph& model, const infer::WeightStore& weights,
-    ClassificationDatasetConfig config)
+    ClassificationDatasetConfig config, const ThreadPool* pool)
     : cfg_(config) {
   Expects(cfg_.num_samples > 0, "dataset must be non-empty");
-  const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
   Rng label_rng = Rng(cfg_.seed).Split(0xBEEF);
 
   labels_.reserve(cfg_.num_samples);
   image_indices_.reserve(cfg_.num_samples);
-  std::size_t gen = 0;
   // Cap candidate generation so a too-strict margin cannot loop forever.
-  const std::size_t max_candidates = cfg_.num_samples * 64;
-  while (labels_.size() < cfg_.num_samples) {
-    Expects(gen < max_candidates,
-            "min_teacher_margin too strict: candidate pool exhausted");
-    const std::size_t i = gen++;
-    const std::vector<infer::Tensor> in = {MakeInput(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in);
-    const int teacher_label = metrics::ArgMax(out[0].values());
-    if (cfg_.min_teacher_margin > 0.0) {
-      // Top1-top2 logit gap.
-      float top1 = -1e30f, top2 = -1e30f;
-      for (float v : out[0].values()) {
-        if (v > top1) {
-          top2 = top1;
-          top1 = v;
-        } else if (v > top2) {
-          top2 = v;
+  LabelWithTeacher(
+      model, weights, cfg_.num_samples, cfg_.num_samples * 64,
+      [&](std::size_t i) {
+        std::vector<infer::Tensor> in;
+        in.push_back(MakeInput(kValidationSpace, i));
+        return in;
+      },
+      [&](std::size_t i, std::span<const infer::Tensor> out) {
+        const int teacher_label = metrics::ArgMax(out[0].values());
+        if (cfg_.min_teacher_margin > 0.0) {
+          // Top1-top2 logit gap.
+          float top1 = -1e30f, top2 = -1e30f;
+          for (float v : out[0].values()) {
+            if (v > top1) {
+              top2 = top1;
+              top1 = v;
+            } else if (v > top2) {
+              top2 = v;
+            }
+          }
+          if (top1 - top2 < cfg_.min_teacher_margin) return false;
         }
-      }
-      if (top1 - top2 < cfg_.min_teacher_margin) continue;
-    }
-    image_indices_.push_back(i);
-    if (label_rng.NextDouble() < cfg_.teacher_agreement) {
-      labels_.push_back(teacher_label);
-    } else {
-      // A random class different from the teacher's.
-      auto other = static_cast<int>(
-          label_rng.NextBelow(static_cast<std::uint64_t>(cfg_.num_classes - 1)));
-      if (other >= teacher_label) ++other;
-      labels_.push_back(other);
-    }
-  }
+        image_indices_.push_back(i);
+        if (label_rng.NextDouble() < cfg_.teacher_agreement) {
+          labels_.push_back(teacher_label);
+        } else {
+          // A random class different from the teacher's.
+          auto other = static_cast<int>(label_rng.NextBelow(
+              static_cast<std::uint64_t>(cfg_.num_classes - 1)));
+          if (other >= teacher_label) ++other;
+          labels_.push_back(other);
+        }
+        return true;
+      },
+      pool);
 }
 
 infer::Tensor ClassificationDataset::MakeInput(std::uint64_t name_space,

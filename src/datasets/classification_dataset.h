@@ -32,10 +32,13 @@ struct ClassificationDatasetConfig {
 class ClassificationDataset final : public TaskDataset {
  public:
   // `model` must be the FP32 reference classifier; labels are derived from
-  // it at construction time.  Both references must outlive the dataset.
+  // it at construction time, its forward passes fanned out over `pool`
+  // (null = serial; labels are identical at any lane count).  Both
+  // references must outlive the dataset.
   ClassificationDataset(const graph::Graph& model,
                         const infer::WeightStore& weights,
-                        ClassificationDatasetConfig config);
+                        ClassificationDatasetConfig config,
+                        const ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::size_t size() const override { return labels_.size(); }
   [[nodiscard]] std::vector<infer::Tensor> InputsFor(

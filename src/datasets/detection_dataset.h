@@ -32,10 +32,12 @@ struct DetectionDatasetConfig {
 class DetectionDataset final : public TaskDataset {
  public:
   // `model` must outlive the dataset (the anchor set is referenced for
-  // decoding model outputs during scoring).
+  // decoding model outputs during scoring).  Teacher passes fan out over
+  // `pool` (null = serial; ground truth is identical at any lane count).
   DetectionDataset(const models::DetectionModel& model,
                    const infer::WeightStore& weights,
-                   DetectionDatasetConfig config);
+                   DetectionDatasetConfig config,
+                   const ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::size_t size() const override {
     return ground_truth_.size();

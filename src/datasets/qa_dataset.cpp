@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "infer/executor.h"
+#include "datasets/teacher.h"
 
 namespace mlpm::datasets {
 namespace {
@@ -33,39 +33,40 @@ double SpanMargin(const infer::Tensor& logits, const metrics::TokenSpan& best) {
 QaDataset::QaDataset(const graph::Graph& model,
                      const infer::WeightStore& weights,
                      models::MobileBertConfig model_cfg,
-                     QaDatasetConfig config)
+                     QaDatasetConfig config, const ThreadPool* pool)
     : model_cfg_(model_cfg), cfg_(config) {
   Expects(cfg_.num_samples > 0, "dataset must be non-empty");
-  const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
   Rng rng = Rng(cfg_.seed).Split(0xF1F1);
 
   truths_.reserve(cfg_.num_samples);
   token_indices_.reserve(cfg_.num_samples);
-  std::size_t gen = 0;
-  const std::size_t max_candidates = cfg_.num_samples * 64;
-  while (truths_.size() < cfg_.num_samples) {
-    Expects(gen < max_candidates,
-            "min_teacher_margin too strict: candidate pool exhausted");
-    const std::size_t i = gen++;
-    const std::vector<infer::Tensor> in = {MakeTokens(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in);
-    metrics::TokenSpan span = SpanFromLogits(out[0]);
-    if (cfg_.min_teacher_margin > 0.0 &&
-        SpanMargin(out[0], span) < cfg_.min_teacher_margin)
-      continue;
-    token_indices_.push_back(i);
-    if (rng.NextDouble() >= cfg_.teacher_agreement) {
-      // Shift the truth span by a few tokens; partial overlap remains.
-      const int shift =
-          1 + static_cast<int>(rng.NextBelow(
-                  static_cast<std::uint64_t>(cfg_.max_shift)));
-      const int sign = rng.NextDouble() < 0.5 ? -1 : 1;
-      const int seq = static_cast<int>(model_cfg_.seq_len);
-      span.start = std::clamp(span.start + sign * shift, 0, seq - 1);
-      span.end = std::clamp(span.end + sign * shift, span.start, seq - 1);
-    }
-    truths_.push_back(span);
-  }
+  LabelWithTeacher(
+      model, weights, cfg_.num_samples, cfg_.num_samples * 64,
+      [&](std::size_t i) {
+        std::vector<infer::Tensor> in;
+        in.push_back(MakeTokens(kValidationSpace, i));
+        return in;
+      },
+      [&](std::size_t i, std::span<const infer::Tensor> out) {
+        metrics::TokenSpan span = SpanFromLogits(out[0]);
+        if (cfg_.min_teacher_margin > 0.0 &&
+            SpanMargin(out[0], span) < cfg_.min_teacher_margin)
+          return false;
+        token_indices_.push_back(i);
+        if (rng.NextDouble() >= cfg_.teacher_agreement) {
+          // Shift the truth span by a few tokens; partial overlap remains.
+          const int shift =
+              1 + static_cast<int>(rng.NextBelow(
+                      static_cast<std::uint64_t>(cfg_.max_shift)));
+          const int sign = rng.NextDouble() < 0.5 ? -1 : 1;
+          const int seq = static_cast<int>(model_cfg_.seq_len);
+          span.start = std::clamp(span.start + sign * shift, 0, seq - 1);
+          span.end = std::clamp(span.end + sign * shift, span.start, seq - 1);
+        }
+        truths_.push_back(span);
+        return true;
+      },
+      pool);
 }
 
 infer::Tensor QaDataset::MakeTokens(std::uint64_t name_space,

@@ -34,8 +34,11 @@ struct QaDatasetConfig {
 
 class QaDataset final : public TaskDataset {
  public:
+  // Teacher passes fan out over `pool` (null = serial; truths and token
+  // indices are identical at any lane count).
   QaDataset(const graph::Graph& model, const infer::WeightStore& weights,
-            models::MobileBertConfig model_cfg, QaDatasetConfig config);
+            models::MobileBertConfig model_cfg, QaDatasetConfig config,
+            const ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::size_t size() const override { return truths_.size(); }
   [[nodiscard]] std::vector<infer::Tensor> InputsFor(

@@ -3,7 +3,7 @@
 #include "common/rng.h"
 #include "datasets/preprocess.h"
 #include "datasets/synthetic_image.h"
-#include "infer/executor.h"
+#include "datasets/teacher.h"
 #include "metrics/classification.h"
 
 namespace mlpm::datasets {
@@ -32,53 +32,60 @@ std::vector<int> ArgmaxMap(const infer::Tensor& logits) {
 
 SegmentationDataset::SegmentationDataset(const graph::Graph& model,
                                          const infer::WeightStore& weights,
-                                         SegmentationDatasetConfig config)
+                                         SegmentationDatasetConfig config,
+                                         const ThreadPool* pool)
     : cfg_(config) {
   Expects(cfg_.num_samples > 0, "dataset must be non-empty");
   Expects(cfg_.num_classes >= 2, "need at least two classes");
-  const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
   Rng rng = Rng(cfg_.seed).Split(0x5EC5);
   const int ignore = static_cast<int>(cfg_.num_classes) - 1;
 
   labels_.reserve(cfg_.num_samples);
-  for (std::size_t i = 0; i < cfg_.num_samples; ++i) {
-    const std::vector<infer::Tensor> in = {MakeInput(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in);
-    std::vector<int> lab = ArgmaxMap(out[0]);
-    if (cfg_.min_pixel_margin > 0.0) {
-      // Relabel low-margin pixels to the catch-all class.
-      const auto& s = out[0].shape();
-      const std::int64_t pixels = s.height() * s.width();
-      const std::int64_t c = s.channels();
-      const float* p = out[0].data();
-      for (std::int64_t px = 0; px < pixels; ++px) {
-        float top1 = -1e30f, top2 = -1e30f;
-        for (std::int64_t k = 0; k < c; ++k) {
-          const float v = p[px * c + k];
-          if (v > top1) {
-            top2 = top1;
-            top1 = v;
-          } else if (v > top2) {
-            top2 = v;
+  LabelWithTeacher(
+      model, weights, cfg_.num_samples, cfg_.num_samples,
+      [&](std::size_t i) {
+        std::vector<infer::Tensor> in;
+        in.push_back(MakeInput(kValidationSpace, i));
+        return in;
+      },
+      [&](std::size_t, std::span<const infer::Tensor> out) {
+        std::vector<int> lab = ArgmaxMap(out[0]);
+        if (cfg_.min_pixel_margin > 0.0) {
+          // Relabel low-margin pixels to the catch-all class.
+          const auto& s = out[0].shape();
+          const std::int64_t pixels = s.height() * s.width();
+          const std::int64_t c = s.channels();
+          const float* p = out[0].data();
+          for (std::int64_t px = 0; px < pixels; ++px) {
+            float top1 = -1e30f, top2 = -1e30f;
+            for (std::int64_t k = 0; k < c; ++k) {
+              const float v = p[px * c + k];
+              if (v > top1) {
+                top2 = top1;
+                top1 = v;
+              } else if (v > top2) {
+                top2 = v;
+              }
+            }
+            if (top1 - top2 < cfg_.min_pixel_margin)
+              lab[static_cast<std::size_t>(px)] = ignore;
           }
         }
-        if (top1 - top2 < cfg_.min_pixel_margin)
-          lab[static_cast<std::size_t>(px)] = ignore;
-      }
-    }
-    for (int& v : lab) {
-      const double u = rng.NextDouble();
-      if (u < cfg_.ignore_rate) {
-        v = ignore;
-      } else if (u < cfg_.ignore_rate + cfg_.pixel_flip_rate) {
-        auto other = static_cast<int>(
-            rng.NextBelow(static_cast<std::uint64_t>(cfg_.num_classes - 1)));
-        if (other >= v) ++other;
-        v = other;
-      }
-    }
-    labels_.push_back(std::move(lab));
-  }
+        for (int& v : lab) {
+          const double u = rng.NextDouble();
+          if (u < cfg_.ignore_rate) {
+            v = ignore;
+          } else if (u < cfg_.ignore_rate + cfg_.pixel_flip_rate) {
+            auto other = static_cast<int>(rng.NextBelow(
+                static_cast<std::uint64_t>(cfg_.num_classes - 1)));
+            if (other >= v) ++other;
+            v = other;
+          }
+        }
+        labels_.push_back(std::move(lab));
+        return true;
+      },
+      pool);
 }
 
 infer::Tensor SegmentationDataset::MakeInput(std::uint64_t name_space,

@@ -30,9 +30,12 @@ struct SegmentationDatasetConfig {
 
 class SegmentationDataset final : public TaskDataset {
  public:
+  // Teacher passes fan out over `pool` (null = serial; label maps are
+  // identical at any lane count).
   SegmentationDataset(const graph::Graph& model,
                       const infer::WeightStore& weights,
-                      SegmentationDatasetConfig config);
+                      SegmentationDatasetConfig config,
+                      const ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::size_t size() const override { return labels_.size(); }
   [[nodiscard]] std::vector<infer::Tensor> InputsFor(

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "infer/executor.h"
+#include "datasets/teacher.h"
 #include "metrics/wer.h"
 
 namespace mlpm::datasets {
@@ -16,34 +16,41 @@ constexpr std::uint64_t kCalibrationSpace = 1'000'000;
 SpeechDataset::SpeechDataset(const graph::Graph& model,
                              const infer::WeightStore& weights,
                              models::RnntConfig model_cfg,
-                             SpeechDatasetConfig config)
+                             SpeechDatasetConfig config,
+                             const ThreadPool* pool)
     : model_cfg_(model_cfg), cfg_(config) {
   Expects(cfg_.num_samples > 0, "dataset must be non-empty");
-  const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
   Rng rng = Rng(cfg_.seed).Split(0x3E);
 
   refs_.reserve(cfg_.num_samples);
-  for (std::size_t i = 0; i < cfg_.num_samples; ++i) {
-    const std::vector<infer::Tensor> in = {MakeFeatures(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in);
-    std::vector<int> tokens = models::GreedyCtcDecode(out[0]);
+  LabelWithTeacher(
+      model, weights, cfg_.num_samples, cfg_.num_samples,
+      [&](std::size_t i) {
+        std::vector<infer::Tensor> in;
+        in.push_back(MakeFeatures(kValidationSpace, i));
+        return in;
+      },
+      [&](std::size_t, std::span<const infer::Tensor> out) {
+        const std::vector<int> tokens = models::GreedyCtcDecode(out[0]);
 
-    // Corrupt the transcript to make FP32 imperfect.
-    std::vector<int> ref;
-    for (int tok : tokens) {
-      const double u = rng.NextDouble();
-      if (u < cfg_.token_drop_rate) continue;
-      if (u < cfg_.token_drop_rate + cfg_.token_substitution_rate) {
-        auto other = static_cast<int>(rng.NextBelow(
-            static_cast<std::uint64_t>(model_cfg_.vocab_size - 2)));
-        if (other + 1 >= tok) ++other;
-        ref.push_back(other + 1);  // never the blank
-      } else {
-        ref.push_back(tok);
-      }
-    }
-    refs_.push_back(std::move(ref));
-  }
+        // Corrupt the transcript to make FP32 imperfect.
+        std::vector<int> ref;
+        for (int tok : tokens) {
+          const double u = rng.NextDouble();
+          if (u < cfg_.token_drop_rate) continue;
+          if (u < cfg_.token_drop_rate + cfg_.token_substitution_rate) {
+            auto other = static_cast<int>(rng.NextBelow(
+                static_cast<std::uint64_t>(model_cfg_.vocab_size - 2)));
+            if (other + 1 >= tok) ++other;
+            ref.push_back(other + 1);  // never the blank
+          } else {
+            ref.push_back(tok);
+          }
+        }
+        refs_.push_back(std::move(ref));
+        return true;
+      },
+      pool);
 }
 
 infer::Tensor SpeechDataset::MakeFeatures(std::uint64_t name_space,

@@ -24,8 +24,11 @@ struct SpeechDatasetConfig {
 
 class SpeechDataset final : public TaskDataset {
  public:
+  // Teacher passes fan out over `pool` (null = serial; references are
+  // identical at any lane count).
   SpeechDataset(const graph::Graph& model, const infer::WeightStore& weights,
-                models::RnntConfig model_cfg, SpeechDatasetConfig config);
+                models::RnntConfig model_cfg, SpeechDatasetConfig config,
+                const ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::size_t size() const override { return refs_.size(); }
   [[nodiscard]] std::vector<infer::Tensor> InputsFor(

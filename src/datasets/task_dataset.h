@@ -15,6 +15,10 @@
 
 #include "infer/tensor.h"
 
+namespace mlpm {
+class ThreadPool;
+}
+
 namespace mlpm::datasets {
 
 class TaskDataset {

@@ -20,6 +20,12 @@ namespace {
   return token;
 }
 
+// A mix spec is user input: a bad one is reported by what is wrong with it,
+// not by the source location of the check that found it.
+void MixRequires(bool cond, const std::string& what) {
+  if (!cond) throw CheckError(what);
+}
+
 [[nodiscard]] std::string Trim(const std::string& s) {
   std::size_t b = s.find_first_not_of(" \t");
   std::size_t e = s.find_last_not_of(" \t");
@@ -39,8 +45,9 @@ std::vector<FleetMixEntry> ParseFleetMix(const std::string& spec) {
     if (part.empty()) continue;
 
     const std::size_t c1 = part.find(':');
-    Expects(c1 != std::string::npos,
-            "fleet mix entry needs '<chipset>:<task>[:<weight>]': " + part);
+    MixRequires(c1 != std::string::npos,
+                "fleet mix entry needs '<chipset>:<task>[:<weight>]': " +
+                    part);
     const std::size_t c2 = part.find(':', c1 + 1);
 
     FleetMixEntry e;
@@ -48,19 +55,20 @@ std::vector<FleetMixEntry> ParseFleetMix(const std::string& spec) {
     e.task_id = CanonicalTaskId(
         Trim(part.substr(c1 + 1, (c2 == std::string::npos ? part.size() : c2) -
                                      c1 - 1)));
-    Expects(!e.chipset.empty(), "empty chipset in fleet mix entry: " + part);
-    Expects(!e.task_id.empty(), "empty task in fleet mix entry: " + part);
+    MixRequires(!e.chipset.empty(),
+                "empty chipset in fleet mix entry: " + part);
+    MixRequires(!e.task_id.empty(), "empty task in fleet mix entry: " + part);
     if (c2 != std::string::npos) {
       const std::string w = Trim(part.substr(c2 + 1));
       char* rest = nullptr;
       e.weight = std::strtod(w.c_str(), &rest);
-      Expects(rest != nullptr && *rest == '\0' && std::isfinite(e.weight) &&
-                  e.weight > 0.0,
-              "fleet mix weight must be a positive number: " + part);
+      MixRequires(rest != nullptr && *rest == '\0' &&
+                      std::isfinite(e.weight) && e.weight > 0.0,
+                  "fleet mix weight must be a positive number: " + part);
     }
     mix.push_back(std::move(e));
   }
-  Expects(!mix.empty(), "fleet mix spec has no entries");
+  MixRequires(!mix.empty(), "fleet mix spec has no entries");
   return mix;
 }
 
@@ -135,15 +143,15 @@ std::vector<ResolvedMixEntry> ResolveMix(
     const auto chip = std::find_if(
         catalog.begin(), catalog.end(),
         [&](const soc::ChipsetDesc& c) { return c.name == e.chipset; });
-    Expects(chip != catalog.end(), "chipset not in the " +
-                                       std::string(ToString(version)) +
-                                       " catalog: " + e.chipset);
+    MixRequires(chip != catalog.end(),
+                "chipset not in the " + std::string(ToString(version)) +
+                    " catalog: " + e.chipset);
     const auto entry = std::find_if(
         suite.begin(), suite.end(),
         [&](const models::BenchmarkEntry& s) { return s.id == e.task_id; });
-    Expects(entry != suite.end(), "task not in the " +
-                                      std::string(ToString(version)) +
-                                      " suite: " + e.task_id);
+    MixRequires(entry != suite.end(),
+                "task not in the " + std::string(ToString(version)) +
+                    " suite: " + e.task_id);
     r.chipset = *chip;
     r.entry = *entry;
     out.push_back(std::move(r));

@@ -26,8 +26,10 @@ struct FleetMixEntry {
 //   - <task> is a suite entry id or one of the aliases
 //     ic / od / is / qa;
 //   - <weight> is an optional positive double (default 1).
-// Throws CheckError on malformed specs.  Chipset/task existence is checked
-// later by ResolveMix, against the suite version actually run.
+// Throws CheckError on malformed specs; its message states the problem
+// without a source location, so the CLI can show it as a flag error.
+// Chipset/task existence is checked later by ResolveMix, against the suite
+// version actually run.
 [[nodiscard]] std::vector<FleetMixEntry> ParseFleetMix(
     const std::string& spec);
 
@@ -50,7 +52,8 @@ struct FleetMixEntry {
     const std::vector<FleetMixEntry>& mix, std::size_t shard_count);
 
 // One fully resolved mix entry: the catalog chipset and suite entry behind
-// the names.  Resolution throws CheckError for unknown names.
+// the names.  Resolution throws CheckError naming the first unknown name
+// (no source location, as for ParseFleetMix).
 struct ResolvedMixEntry {
   FleetMixEntry spec;
   soc::ChipsetDesc chipset;

@@ -22,15 +22,20 @@ bool Near(double a, double b, double rel_tol) {
 
 CheckReport CheckPerformanceLog(const std::string& serialized_log,
                                 const loadgen::TestSettings& expected) {
-  CheckReport report;
   loadgen::TestLog log;
   try {
     log = loadgen::TestLog::Parse(serialized_log);
   } catch (const CheckError& e) {
+    CheckReport report;
     report.Problem(std::string("unparseable log: ") + e.what());
     return report;
   }
+  return CheckPerformanceLog(log, expected);
+}
 
+CheckReport CheckPerformanceLog(const loadgen::TestLog& log,
+                                const loadgen::TestSettings& expected) {
+  CheckReport report;
   const auto field = [&](const std::string& key) -> std::string {
     const std::string* v = log.FieldOrNull(key);
     if (v == nullptr) {
@@ -247,8 +252,7 @@ CheckReport CheckTaskRun(const TaskRunResult& task,
     loadgen::TestSettings ss = expected;
     ss.scenario = loadgen::TestScenario::kSingleStream;
     ss.mode = loadgen::TestMode::kPerformanceOnly;
-    CheckReport log_report =
-        CheckPerformanceLog(task.single_stream->log.Serialize(), ss);
+    CheckReport log_report = CheckPerformanceLog(task.single_stream->log, ss);
     for (std::string& p : log_report.problems)
       report.Problem(task.entry.id + ": " + p);
   }
@@ -256,8 +260,7 @@ CheckReport CheckTaskRun(const TaskRunResult& task,
     loadgen::TestSettings off = expected;
     off.scenario = loadgen::TestScenario::kOffline;
     off.mode = loadgen::TestMode::kPerformanceOnly;
-    CheckReport log_report =
-        CheckPerformanceLog(task.offline->log.Serialize(), off);
+    CheckReport log_report = CheckPerformanceLog(task.offline->log, off);
     for (std::string& p : log_report.problems)
       report.Problem(task.entry.id + " (offline): " + p);
   }

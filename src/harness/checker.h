@@ -2,6 +2,11 @@
 // LoadGen logs and accuracy results against the run rules before it can be
 // published.  The checker re-derives every summary statistic from the raw
 // issue/completion events rather than trusting reported numbers.
+//
+// A submission's logs are checked in memory: CheckTaskRun reads each
+// loadgen::TestLog directly, with no serialize/parse round trip.  Logs that
+// arrive as text (a submission package's files) are parsed once and then
+// take the same check.
 #pragma once
 
 #include <string>
@@ -31,6 +36,11 @@ struct CheckReport {
 //   * offline sample count == 24,576;
 //   * reported percentile latency / throughput match values recomputed
 //     from the raw events (within 0.1%).
+[[nodiscard]] CheckReport CheckPerformanceLog(
+    const loadgen::TestLog& log, const loadgen::TestSettings& expected);
+
+// The same check on a serialized log (TestLog::Serialize text): parses it,
+// reports an unparseable log as a problem, then checks the parsed log.
 [[nodiscard]] CheckReport CheckPerformanceLog(
     const std::string& serialized_log, const loadgen::TestSettings& expected);
 

@@ -53,7 +53,10 @@ const TaskBundle& SuiteBundles::Get(const models::BenchmarkEntry& e,
       std::string(ToString(version)) + "/" + e.id;
   auto it = cache_.find(key);
   if (it == cache_.end())
-    it = cache_.emplace(key, TaskBundle::Create(e, version)).first;
+    it = cache_
+             .emplace(key,
+                      TaskBundle::Create(e, version, &ThreadPool::Global()))
+             .first;
   return *it->second;
 }
 
@@ -321,7 +324,7 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
         bundle.Prepare(mode,
                        options.use_qat_weights &&
                            mode == infer::NumericsMode::kInt8,
-                       options.kernel_isa, options.transform, tile_opt);
+                       options.kernel_isa, options.transform, tile_opt, pool);
     tr.calibration_indices = prepared.calibration_indices;
     tr.tiling_applied = prepared.executor != nullptr &&
                         prepared.executor->tiled();

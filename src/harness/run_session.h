@@ -30,7 +30,9 @@
 namespace mlpm::harness {
 
 // Cache of task bundles so repeated submissions (multiple chipsets, audit
-// re-runs) reuse the expensive teacher-labelled data sets.
+// re-runs) reuse the expensive teacher-labelled data sets.  Bundles live as
+// long as the cache, past any one run, so their teacher labelling runs on
+// the process pool (ThreadPool::Global()), not a run's pool.
 class SuiteBundles {
  public:
   [[nodiscard]] const TaskBundle& Get(const models::BenchmarkEntry& e,

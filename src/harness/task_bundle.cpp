@@ -54,7 +54,7 @@ std::string CompareProbeOutputs(const std::vector<infer::Tensor>& want,
 
 std::unique_ptr<TaskBundle> TaskBundle::Create(
     const models::BenchmarkEntry& e, models::SuiteVersion version,
-    std::uint64_t weight_seed) {
+    const ThreadPool* pool, std::uint64_t weight_seed) {
   auto b = std::unique_ptr<TaskBundle>(new TaskBundle());
   b->entry_ = e;
   b->version_ = version;
@@ -66,7 +66,8 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
       b->graph_ = b->owned_graph_.get();
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       b->dataset_ = std::make_unique<datasets::ClassificationDataset>(
-          *b->graph_, b->weights_, datasets::ClassificationDatasetConfig{});
+          *b->graph_, b->weights_, datasets::ClassificationDatasetConfig{},
+          pool);
       break;
     }
     case models::TaskType::kObjectDetection: {
@@ -78,7 +79,7 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       b->dataset_ = std::make_unique<datasets::DetectionDataset>(
           *b->detection_model_, b->weights_,
-          datasets::DetectionDatasetConfig{});
+          datasets::DetectionDatasetConfig{}, pool);
       break;
     }
     case models::TaskType::kImageSegmentation: {
@@ -87,7 +88,8 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
       b->graph_ = b->owned_graph_.get();
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       b->dataset_ = std::make_unique<datasets::SegmentationDataset>(
-          *b->graph_, b->weights_, datasets::SegmentationDatasetConfig{});
+          *b->graph_, b->weights_, datasets::SegmentationDatasetConfig{},
+          pool);
       break;
     }
     case models::TaskType::kQuestionAnswering: {
@@ -97,7 +99,7 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
       b->graph_ = b->owned_graph_.get();
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       b->dataset_ = std::make_unique<datasets::QaDataset>(
-          *b->graph_, b->weights_, cfg, datasets::QaDatasetConfig{});
+          *b->graph_, b->weights_, cfg, datasets::QaDatasetConfig{}, pool);
       break;
     }
   }
@@ -107,7 +109,7 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
 TaskBundle::PreparedModel TaskBundle::Prepare(
     infer::NumericsMode mode, bool use_qat_weights,
     infer::kernels::KernelIsa isa, bool transform,
-    const infer::TileOptions& tiling) const {
+    const infer::TileOptions& tiling, const ThreadPool* pool) const {
   const std::pair<int, std::int64_t> key{
       (static_cast<int>(mode) * 2 + (use_qat_weights ? 1 : 0)) * 8 +
           static_cast<int>(isa) + (transform ? 64 : 0),
@@ -116,7 +118,8 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
     return it->second;
 
   if (transform) {
-    PreparedModel p = PrepareTransformed(mode, use_qat_weights, isa, tiling);
+    PreparedModel p =
+        PrepareTransformed(mode, use_qat_weights, isa, tiling, pool);
     prepared_cache_.emplace(key, p);
     return p;
   }
@@ -132,9 +135,10 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
     p.calibration_indices = datasets::ApprovedCalibrationIndices(
         kCalibrationPoolSize, kCalibrationSetSize, kCalibrationSeed);
     const std::vector<quant::CalibrationSample> samples =
-        datasets::GatherCalibrationSamples(*dataset_, p.calibration_indices);
+        datasets::GatherCalibrationSamples(*dataset_, p.calibration_indices,
+                                           pool);
     const infer::QuantParams qp =
-        quant::CalibratePtq(*graph_, *weights, samples);
+        quant::CalibratePtq(*graph_, *weights, samples, {}, pool);
     p.model = std::make_shared<const infer::Executor>(*graph_, *weights,
                                                       mode, &qp, isa, tiling);
   } else {
@@ -149,12 +153,13 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
 
 TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
     infer::NumericsMode mode, bool use_qat_weights,
-    infer::kernels::KernelIsa isa, const infer::TileOptions& tiling) const {
+    infer::kernels::KernelIsa isa, const infer::TileOptions& tiling,
+    const ThreadPool* pool) const {
   // The untransformed model at identical numerics is both the equivalence
   // baseline and the fallback if any gate trips; the regular cache shares
   // its prepack with non-transform runs.
   PreparedModel base = Prepare(mode, use_qat_weights, isa,
-                               /*transform=*/false, tiling);
+                               /*transform=*/false, tiling, pool);
   base.transform.requested = true;
 
   // Base Prepare() materialized qat_weights_ when requested.
@@ -190,9 +195,10 @@ TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
     // untransformed ranges no longer line up one-to-one.
     p.calibration_indices = base.calibration_indices;
     const std::vector<quant::CalibrationSample> samples =
-        datasets::GatherCalibrationSamples(*dataset_, p.calibration_indices);
+        datasets::GatherCalibrationSamples(*dataset_, p.calibration_indices,
+                                           pool);
     const infer::QuantParams qp =
-        quant::CalibratePtq(tr->graph, tr->weights, samples);
+        quant::CalibratePtq(tr->graph, tr->weights, samples, {}, pool);
     p.model = std::make_shared<const infer::Executor>(
         tr->graph, tr->weights, mode, &qp, isa, tiling);
   } else {

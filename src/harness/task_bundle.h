@@ -31,10 +31,13 @@ inline constexpr std::uint64_t kCalibrationSeed = 0xCA11B;
 
 class TaskBundle {
  public:
-  // Builds the mini reference model + data set for a suite entry.
-  // `weight_seed` is the frozen-checkpoint seed (fixed per suite release).
+  // Builds the mini reference model + data set for a suite entry, fanning
+  // the data set's teacher labelling out over `pool` (null = serial; the
+  // data set is identical at any lane count).  `weight_seed` is the
+  // frozen-checkpoint seed (fixed per suite release).
   static std::unique_ptr<TaskBundle> Create(const models::BenchmarkEntry& e,
                                             models::SuiteVersion version,
+                                            const ThreadPool* pool = nullptr,
                                             std::uint64_t weight_seed = 7);
 
   [[nodiscard]] const models::BenchmarkEntry& entry() const { return entry_; }
@@ -96,10 +99,15 @@ class TaskBundle {
   // (DESIGN.md §15) — bit-identical to whole-op execution, so accuracy
   // scores are unchanged; only memory footprint and locality differ.  The
   // FP32 reference (Fp32Score) always runs untiled as the oracle.
+  //
+  // INT8 calibration fans its samples out over `pool` (null = serial); the
+  // calibrated ranges are bit-identical at any lane count, so the cache key
+  // ignores it.
   [[nodiscard]] PreparedModel Prepare(
       infer::NumericsMode mode, bool use_qat_weights = false,
       infer::kernels::KernelIsa isa = infer::kernels::KernelIsa::kAuto,
-      bool transform = false, const infer::TileOptions& tiling = {}) const;
+      bool transform = false, const infer::TileOptions& tiling = {},
+      const ThreadPool* pool = nullptr) const;
 
   // Runs the full validation set through `executor` and scores it, fanning
   // samples out over `pool` when given (bit-identical to the serial path).
@@ -122,7 +130,8 @@ class TaskBundle {
   // disagreement.
   [[nodiscard]] PreparedModel PrepareTransformed(
       infer::NumericsMode mode, bool use_qat_weights,
-      infer::kernels::KernelIsa isa, const infer::TileOptions& tiling) const;
+      infer::kernels::KernelIsa isa, const infer::TileOptions& tiling,
+      const ThreadPool* pool) const;
 
   models::BenchmarkEntry entry_;
   models::SuiteVersion version_ = models::SuiteVersion::kV1_0;

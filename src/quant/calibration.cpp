@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <utility>
+
+#include "common/thread_pool.h"
 
 namespace mlpm::quant {
 namespace {
@@ -21,21 +23,36 @@ infer::TensorRange RangeOf(const infer::Tensor& t) {
 infer::QuantParams CalibratePtq(const graph::Graph& graph,
                                 const infer::WeightStore& weights,
                                 std::span<const CalibrationSample> samples,
-                                const CalibrationConfig& config) {
+                                const CalibrationConfig& config,
+                                const ThreadPool* pool) {
   Expects(!samples.empty(), "calibration requires at least one sample");
   infer::QuantParams params;
   params.per_channel_weights = config.per_channel_weights;
   params.activation_bits = config.activation_bits;
   params.weight_bits = config.weight_bits;
 
+  // Per-sample observed ranges, in observation order.
+  using SampleRanges =
+      std::vector<std::pair<graph::TensorId, infer::TensorRange>>;
+  std::vector<SampleRanges> observed(samples.size());
   const infer::Executor fp32(graph, weights, infer::NumericsMode::kFp32);
-  std::unordered_map<graph::TensorId, bool> seen;
+  ParallelForRange(
+      pool, 0, static_cast<std::int64_t>(samples.size()),
+      [&](std::int64_t lo, std::int64_t hi) {
+        infer::ExecutionContext ctx = fp32.CreateContext();
+        for (std::int64_t i = lo; i < hi; ++i) {
+          SampleRanges& slot = observed[static_cast<std::size_t>(i)];
+          (void)fp32.Run(samples[static_cast<std::size_t>(i)], ctx,
+                         [&](graph::TensorId id, const infer::Tensor& t) {
+                           slot.emplace_back(id, RangeOf(t));
+                         });
+        }
+      });
 
-  for (const CalibrationSample& sample : samples) {
-    (void)fp32.Run(sample, [&](graph::TensorId id, const infer::Tensor& t) {
-      const infer::TensorRange r = RangeOf(t);
+  for (const SampleRanges& slot : observed) {
+    for (const auto& [id, r] : slot) {
       auto [it, inserted] = params.activation_ranges.try_emplace(id, r);
-      if (inserted) return;
+      if (inserted) continue;
       switch (config.method) {
         case RangeMethod::kMinMax:
           it->second.Merge(r);
@@ -47,7 +64,7 @@ infer::QuantParams CalibratePtq(const graph::Graph& graph,
           break;
         }
       }
-    });
+    }
   }
   return params;
 }

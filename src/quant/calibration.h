@@ -18,6 +18,10 @@
 #include "infer/executor.h"
 #include "infer/weights.h"
 
+namespace mlpm {
+class ThreadPool;
+}
+
 namespace mlpm::quant {
 
 enum class RangeMethod : std::uint8_t {
@@ -39,10 +43,15 @@ using CalibrationSample = std::vector<infer::Tensor>;
 // Derives QuantParams by running the FP32 reference executor over the
 // calibration set and recording activation ranges.  `samples` is typically
 // the approved 500-sample subset of the training/validation data.
+//
+// The forward passes fan out over `pool` (null = serial), one execution
+// context per chunk.  Each sample's ranges land in its own slot and the
+// slots fold in sample order, so the ranges are bit-identical at any lane
+// count for both range methods (the moving average depends on order).
 [[nodiscard]] infer::QuantParams CalibratePtq(
     const graph::Graph& graph, const infer::WeightStore& weights,
     std::span<const CalibrationSample> samples,
-    const CalibrationConfig& config = {});
+    const CalibrationConfig& config = {}, const ThreadPool* pool = nullptr);
 
 // "QAT-equivalent" weight refinement: returns a copy of `weights` whose
 // weight tensors are re-clipped to the MSE-optimal symmetric range before

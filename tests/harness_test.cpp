@@ -129,6 +129,34 @@ TEST(RunSubmission, OfflineOnlyWhereSubmitted) {
 
 // ---- checker ----
 
+// The in-memory check and the check of the same log's text must report the
+// same problems, in the same order.
+void ExpectSameProblems(const loadgen::TestLog& log,
+                        const loadgen::TestSettings& expected) {
+  const CheckReport in_memory = CheckPerformanceLog(log, expected);
+  const CheckReport from_text = CheckPerformanceLog(log.Serialize(), expected);
+  EXPECT_EQ(in_memory.valid, from_text.valid);
+  EXPECT_EQ(in_memory.problems, from_text.problems);
+}
+
+// `log` rebuilt event by event: the first `keep` events, with `forged`
+// inserted before the first completion when set.
+loadgen::TestLog CopyLog(const loadgen::TestLog& log, std::size_t keep,
+                         const loadgen::LogEvent* forged = nullptr) {
+  loadgen::TestLog out;
+  for (const auto& [k, v] : log.fields()) out.SetField(k, v);
+  bool inserted = forged == nullptr;
+  for (std::size_t i = 0; i < keep && i < log.events().size(); ++i) {
+    const loadgen::LogEvent& e = log.events()[i];
+    if (!inserted && e.kind == loadgen::LogEventKind::kQueryCompleted) {
+      out.Record(forged->kind, forged->query_id, forged->timestamp);
+      inserted = true;
+    }
+    out.Record(e.kind, e.query_id, e.timestamp);
+  }
+  return out;
+}
+
 TEST(Checker, AcceptsValidSubmission) {
   const CheckReport r =
       CheckSubmission(CachedD1100Run(), FastOptions().performance_settings);
@@ -178,6 +206,67 @@ TEST(Checker, RejectsTruncatedLog) {
   EXPECT_FALSE(r.valid);
 }
 
+TEST(Checker, InMemoryLogMatchesSerializedOnEveryTamperCase) {
+  const SubmissionResult& good = CachedD1100Run();
+  loadgen::TestSettings ss = FastOptions().performance_settings;
+  ss.scenario = loadgen::TestScenario::kSingleStream;
+  ss.mode = loadgen::TestMode::kPerformanceOnly;
+
+  // Clean logs: every task's, and each must pass.
+  for (const TaskRunResult& t : good.tasks) {
+    ASSERT_TRUE(t.single_stream.has_value());
+    EXPECT_TRUE(CheckPerformanceLog(t.single_stream->log, ss).valid)
+        << t.entry.id;
+    ExpectSameProblems(t.single_stream->log, ss);
+  }
+
+  // The tamper cases of the tests above, made on the in-memory log; each
+  // must fail, identically from memory and from text.
+  const loadgen::TestLog& log = good.tasks[0].single_stream->log;
+  struct Case {
+    const char* name;
+    loadgen::TestLog log;
+    loadgen::TestSettings expected;
+  };
+  std::vector<Case> cases;
+  {
+    loadgen::TestLog edited = CopyLog(log, log.events().size());
+    edited.SetField("result_percentile_latency_s", "0.000001");
+    cases.push_back({"edited percentile", std::move(edited), ss});
+  }
+  cases.push_back(
+      {"truncated", CopyLog(log, log.events().size() / 2), ss});
+  {
+    const loadgen::LogEvent forged{loadgen::LogEventKind::kQueryCompleted,
+                                   99999, loadgen::Seconds{0.0}};
+    cases.push_back(
+        {"forged completion", CopyLog(log, log.events().size(), &forged), ss});
+  }
+  {
+    loadgen::TestSettings wrong_seed = ss;
+    wrong_seed.seed = 999;
+    cases.push_back({"wrong seed", CopyLog(log, log.events().size()),
+                     wrong_seed});
+  }
+  {
+    loadgen::TestSettings too_short = ss;
+    too_short.min_query_count = 1'000'000;
+    cases.push_back({"too short", CopyLog(log, log.events().size()),
+                     too_short});
+  }
+  {
+    loadgen::TestSettings offline = ss;
+    offline.scenario = loadgen::TestScenario::kOffline;
+    cases.push_back({"scenario mismatch", CopyLog(log, log.events().size()),
+                     offline});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_FALSE(CheckPerformanceLog(c.log, c.expected).valid);
+    ExpectSameProblems(c.log, c.expected);
+  }
+}
+
 TEST(Checker, RejectsUnapprovedCalibration) {
   SubmissionResult bad = CachedD1100Run();
   bad.tasks[0].calibration_indices.push_back(999'999);
@@ -225,6 +314,8 @@ TEST(Checker, ValidatesServerLogs) {
   loadgen::TestSettings strict = s;
   strict.server_latency_bound = loadgen::Seconds{1e-6};
   EXPECT_FALSE(CheckPerformanceLog(r.log.Serialize(), strict).valid);
+  ExpectSameProblems(r.log, s);
+  ExpectSameProblems(r.log, strict);
 }
 
 
@@ -270,6 +361,8 @@ TEST(Checker, AccountsForShedQueriesInServerLogs) {
   loadgen::TestSettings strict = s;
   strict.server_max_shed_fraction = 0.01;
   EXPECT_FALSE(CheckPerformanceLog(r.log.Serialize(), strict).valid);
+  ExpectSameProblems(r.log, s);
+  ExpectSameProblems(r.log, strict);
 }
 
 TEST(QualityAnchors, EveryNumericsModeClearsItsTable1Target) {

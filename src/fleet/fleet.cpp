@@ -131,12 +131,13 @@ struct ConfigPlan {
 // plane and stamps the result onto every shard of that config — including
 // replayed shards, so a journal cut before the accuracy plane ran still
 // resumes to a field-identical report (scores are deterministic per
-// config).  Serial by design: TaskBundle preparation caches through an
-// unguarded map, so the accuracy plane stays on the coordinator thread.
+// config).  Configs go one at a time on the coordinator (TaskBundle caches
+// through an unguarded map); each fans out over ThreadPool::Global().
 void RunAccuracyPlane(const FleetOptions& options,
                       const std::vector<ShardSpec>& specs,
                       std::vector<std::optional<ShardResult>>& slots) {
   harness::SuiteBundles bundles;
+  const ThreadPool& pool = ThreadPool::Global();
   struct Scores {
     double accuracy = 0.0;
     double fp32 = 0.0;
@@ -154,14 +155,14 @@ void RunAccuracyPlane(const FleetOptions& options,
       const harness::TaskBundle& bundle =
           bundles.Get(spec.entry, options.version);
       const infer::NumericsMode mode = infer::NumericsModeFor(slot->numerics);
-      const harness::TaskBundle::PreparedModel prepared =
-          bundle.Prepare(mode, false, options.kernel_isa);
+      const harness::TaskBundle::PreparedModel prepared = bundle.Prepare(
+          mode, false, options.kernel_isa, false, {}, &pool);
       Scores s;
       s.accuracy = bundle.ScoreAccuracy(
           *NotNull(prepared.executor,
                    "TaskBundle::Prepare returned no executor"),
-          nullptr);
-      s.fp32 = bundle.Fp32Score(nullptr, options.kernel_isa);
+          &pool);
+      s.fp32 = bundle.Fp32Score(&pool, options.kernel_isa);
       s.ratio = s.fp32 > 0 ? s.accuracy / s.fp32 : 0.0;
       s.passed = s.ratio >= spec.entry.quality_target;
       it = scored.emplace(key, s).first;

@@ -54,9 +54,10 @@ struct FleetOptions {
 
   // Optional accuracy plane: score each distinct (task, numerics) config
   // once through the reference executor and stamp the scores onto every
-  // shard of that config.  Runs serially on the coordinator (TaskBundle
-  // preparation is not thread-safe).  Off by default — a serving fleet
-  // measures latency, not accuracy.
+  // shard of that config.  Configs run one at a time on the coordinator
+  // (TaskBundle preparation is not thread-safe); each fans its samples out
+  // over ThreadPool::Global().  Off by default — a serving fleet measures
+  // latency, not accuracy.
   bool accuracy = false;
   infer::kernels::KernelIsa kernel_isa = infer::kernels::KernelIsa::kAuto;
 

@@ -15,6 +15,7 @@
 #include "backends/vendor_policy.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
 #include "datasets/stub_dataset.h"
@@ -196,6 +197,23 @@ TEST(Fleet, AccuracyPlaneMatchesTaskBundleScores) {
   EXPECT_DOUBLE_EQ(r.shards[0].fp32_reference, fp32);
   EXPECT_EQ(r.shards[0].quality_passed,
             fp32 > 0 && accuracy / fp32 >= entry.quality_target);
+}
+
+// The accuracy plane fans each config out over the process pool; the
+// report must not depend on its lane count.
+TEST(Fleet, AccuracyPlaneReportInvariantUnderGlobalLanes) {
+  fleet::FleetOptions fo = SmallFleet(2);
+  fo.mix = fleet::ParseFleetMix("Dimensity 1100:ic;Exynos 2100:qa");
+  fo.settings.server_query_count = 64;
+  fo.accuracy = true;
+  const std::size_t lanes = ThreadPool::Global().thread_count();
+  ThreadPool::SetGlobalThreadCount(1);
+  const std::string one = fleet::FormatFleetReport(fleet::RunFleet(fo));
+  ThreadPool::SetGlobalThreadCount(4);
+  const std::string four = fleet::FormatFleetReport(fleet::RunFleet(fo));
+  ThreadPool::SetGlobalThreadCount(lanes);
+  EXPECT_EQ(one, four);
+  EXPECT_NE(one.find("of fp32"), std::string::npos) << one;
 }
 
 // ---------------------------------------------------------------------------

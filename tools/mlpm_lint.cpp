@@ -8,28 +8,7 @@
 //   1  findings at warning or error severity
 //   2  usage error or internal failure — nothing was fully linted
 //
-// Usage:
-//   mlpm_lint [--json] [--version v0.7|v1.0|all] [FILE.graph ...]
-//   mlpm_lint --models             lint every suite reference graph
-//   mlpm_lint --chipset NAME|all   lint vendor submissions for the chipset(s)
-//   mlpm_lint --codes              print the diagnostic-code catalogue
-//   mlpm_lint --memory             static activation-memory summary for the
-//                                  reference models (planner only, nothing
-//                                  is executed)
-//   mlpm_lint --kernel-isa NAME    lint a run configuration that forces the
-//                                  kernel ISA NAME against this host's
-//                                  kernel registry (RUN007 when unknown or
-//                                  unavailable)
-//   mlpm_lint --transform          dry-run the verified transform pipeline
-//                                  (src/transform, FP32) over the reference
-//                                  models: per-pass rewrite counts and
-//                                  verification timings, plus any XFM
-//                                  diagnostics as lint findings
-//   mlpm_lint --tile auto|N        lint a run configuration that requests
-//                                  tiled execution with the given tile
-//                                  height against every selected reference
-//                                  model (RUN008 when the height is invalid
-//                                  or a model has no fusable segment)
+// Flags are rows of one table (LintFlags); `mlpm_lint --help` prints them.
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -44,6 +23,7 @@
 #include "analysis/diagnostics.h"
 #include "analysis/passes.h"
 #include "backends/vendor_policy.h"
+#include "common/flags.h"
 #include "graph/serialize.h"
 #include "infer/kernels/registry.h"
 #include "infer/memory_plan.h"
@@ -68,6 +48,7 @@ struct Options {
   bool print_codes = false;
   bool memory_summary = false;
   bool transform_summary = false;
+  bool help = false;
   std::string chipset;     // empty = none, "all" = every catalog chipset
   std::string kernel_isa;  // empty = not requested
   std::string tile;        // empty = not requested; "auto" or a row count
@@ -76,13 +57,37 @@ struct Options {
   std::vector<std::string> files;
 };
 
-int Usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--json] [--version v0.7|v1.0|all] [--models]"
-               " [--chipset NAME|all] [--codes] [--memory] [--transform]"
-               " [--kernel-isa auto|scalar|avx2|neon] [--tile auto|N]"
-               " [FILE.graph ...]\n";
-  return 2;
+// The flag table, its rows bound to `o`.  --kernel-isa and --tile keep the
+// raw string: a bad value is a lint finding (RUN007/RUN008), not a refusal.
+std::vector<flags::Flag> LintFlags(Options& o) {
+  using flags::Set;
+  using flags::Text;
+  using models::SuiteVersion;
+  return {
+      {"--json", "", "print the report as JSON", Set(o.json)},
+      {"--version", "v0.7|v1.0|all", "catalog round(s) to lint (default all)",
+       [&o](const std::string& v) {
+         o.versions = flags::Choose<std::vector<SuiteVersion>>(
+             v, {{"v0.7", {SuiteVersion::kV0_7}},
+                 {"v1.0", {SuiteVersion::kV1_0}},
+                 {"all", {SuiteVersion::kV0_7, SuiteVersion::kV1_0}}});
+       }},
+      {"--models", "", "lint every suite reference graph", Set(o.lint_models)},
+      {"--chipset", "NAME|all", "lint vendor submissions for the chipset(s)",
+       Text(o.chipset)},
+      {"--codes", "", "print the diagnostic-code catalogue",
+       Set(o.print_codes)},
+      {"--memory", "", "static activation-memory summary (planner only)",
+       Set(o.memory_summary)},
+      {"--transform", "", "dry-run the verified transform pipeline (FP32)",
+       Set(o.transform_summary)},
+      {"--kernel-isa", "NAME", "lint a run forcing kernel ISA NAME (RUN007)",
+       Text(o.kernel_isa)},
+      {"--tile", "auto|N", "lint a run asking for tile height N (RUN008)",
+       Text(o.tile)},
+      {"--help", "", "print this usage", Set(o.help)},
+      {"-h", "", "same as --help", Set(o.help)},
+  };
 }
 
 // Static activation-memory summary (DESIGN.md §10): per reference model,
@@ -300,42 +305,19 @@ void AppendJsonString(std::ostream& os, std::string_view s) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      opt.json = true;
-    } else if (arg == "--models") {
-      opt.lint_models = true;
-    } else if (arg == "--codes") {
-      opt.print_codes = true;
-    } else if (arg == "--memory") {
-      opt.memory_summary = true;
-    } else if (arg == "--transform") {
-      opt.transform_summary = true;
-    } else if (arg == "--chipset") {
-      if (++i >= argc) return Usage(argv[0]);
-      opt.chipset = argv[i];
-    } else if (arg == "--kernel-isa") {
-      if (++i >= argc) return Usage(argv[0]);
-      opt.kernel_isa = argv[i];
-    } else if (arg == "--tile") {
-      if (++i >= argc) return Usage(argv[0]);
-      opt.tile = argv[i];
-    } else if (arg == "--version") {
-      if (++i >= argc) return Usage(argv[0]);
-      const std::string v = argv[i];
-      if (v == "v0.7") opt.versions = {models::SuiteVersion::kV0_7};
-      else if (v == "v1.0") opt.versions = {models::SuiteVersion::kV1_0};
-      else if (v == "all") { /* keep both */ }
-      else return Usage(argv[0]);
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage(argv[0]);
-    } else {
-      opt.files.push_back(arg);
-    }
+  const std::vector<flags::Flag> table = LintFlags(opt);
+  const std::string usage =
+      flags::Usage("mlpm_lint", table, "[FILE.graph ...]");
+  const std::string error =
+      flags::Parse(table, {argv + 1, argv + argc},
+                   [&opt](const std::string& f) { opt.files.push_back(f); });
+  if (!error.empty()) {
+    std::cerr << error << '\n' << usage;
+    return 2;
+  }
+  if (opt.help) {
+    std::cout << usage;
+    return 0;
   }
   if (opt.print_codes) {
     PrintCodes();
@@ -351,8 +333,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!opt.lint_models && opt.chipset.empty() && opt.kernel_isa.empty() &&
-      opt.tile.empty() && !opt.transform_summary && opt.files.empty())
-    return Usage(argv[0]);
+      opt.tile.empty() && !opt.transform_summary && opt.files.empty()) {
+    std::cerr << usage;
+    return 2;
+  }
 
   std::vector<TargetReport> reports;
   try {

@@ -1,5 +1,8 @@
 #include "headless_flags.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "fleet/mix.h"
 #include "infer/kernels/registry.h"
 
@@ -130,7 +133,26 @@ std::vector<flags::Flag> HeadlessFlags(HeadlessArgs& a) {
 
 std::string ParseHeadlessArgs(const std::vector<std::string>& argv,
                               HeadlessArgs& args) {
-  std::string error = flags::Parse(HeadlessFlags(args), argv);
+  // Flags only a submission reads: a fleet run would drop them without a
+  // word, so with --fleet the first one given is refused.
+  static const char* const kSubmissionOnly[] = {
+      "--csv", "--log",  "--task",      "--chipset", "--cooldown",
+      "--e2e", "--lint", "--transform", "--tile"};
+  std::vector<flags::Flag> table = HeadlessFlags(args);
+  std::string submission_only;
+  for (flags::Flag& f : table) {
+    if (std::find(std::begin(kSubmissionOnly), std::end(kSubmissionOnly),
+                  f.name) == std::end(kSubmissionOnly))
+      continue;
+    f.apply = [apply = std::move(f.apply), name = f.name,
+               &submission_only](const std::string& v) {
+      apply(v);
+      if (submission_only.empty()) submission_only = name;
+    };
+  }
+  std::string error = flags::Parse(table, argv);
+  if (error.empty() && args.fleet.shard_count > 0 && !submission_only.empty())
+    error = submission_only + ": not used with --fleet";
   // Mix names resolve against the suite version, known once every flag is.
   if (error.empty() && !args.fleet.mix.empty()) {
     try {

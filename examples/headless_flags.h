@@ -37,7 +37,9 @@ struct HeadlessArgs {
 [[nodiscard]] std::vector<flags::Flag> HeadlessFlags(HeadlessArgs& args);
 
 // Applies `argv` (without the program name) to `args` through
-// HeadlessFlags, then resolves a --fleet-mix against the chosen version.
+// HeadlessFlags, refuses a submission-only flag (--csv, --log, --task,
+// --chipset, --cooldown, --e2e, --lint, --transform, --tile) given with
+// --fleet, then resolves a --fleet-mix against the chosen version.
 // Returns "" or the one refusal line (flags::Parse).
 [[nodiscard]] std::string ParseHeadlessArgs(
     const std::vector<std::string>& argv, HeadlessArgs& args);

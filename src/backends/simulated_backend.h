@@ -36,6 +36,8 @@ class SimulatedBackend final : public loadgen::SystemUnderTest {
   [[nodiscard]] std::string_view name() const override { return name_; }
   void IssueQuery(std::span<const loadgen::QuerySample> samples,
                   loadgen::ResponseSink& sink) override;
+  // End of test: the simulator's counters reach the registry once.
+  void FlushQueries() override { simulator_.PublishMetrics(); }
 
   // Run-rule cooldown hook for the harness.
   void Cooldown(double seconds) { simulator_.Cooldown(seconds); }

@@ -23,7 +23,8 @@ struct SampleStats {
 };
 
 // Percentile with linear interpolation between closest ranks; `p` in [0,100].
-// The input need not be sorted.  Empty input throws CheckError.
+// The input need not be sorted (a copy goes through PercentilesInPlace).
+// Empty input throws CheckError.
 [[nodiscard]] double Percentile(std::span<const double> values, double p);
 
 // As Percentile, but `sorted` must already be in ascending order — no copy,
@@ -34,9 +35,17 @@ struct SampleStats {
 // Several percentiles from one sort: copies and sorts `values` once, then
 // reads each requested percentile off the sorted data.  Returns one value
 // per entry of `ps`, in order.  Report tables want p50/p90/p97/p99 of the
-// same latency vector; calling Percentile four times would sort four times.
+// same latency vector; calling Percentile four times would copy four times.
 [[nodiscard]] std::vector<double> Percentiles(std::span<const double> values,
                                               std::span<const double> ps);
+
+// Percentiles without the copy or the sort: selects only the ranks the
+// requested percentiles read (linear time), reordering `values` in place.
+// Returns exactly what Percentiles returns, bit for bit.  For vectors the
+// caller no longer needs in their original order (the fleet's merged
+// latency distribution).
+[[nodiscard]] std::vector<double> PercentilesInPlace(
+    std::span<double> values, std::span<const double> ps);
 
 // Full summary in one pass over a copy (values need not be sorted).
 [[nodiscard]] SampleStats Summarize(std::span<const double> values);

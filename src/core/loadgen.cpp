@@ -5,8 +5,6 @@
 #include <cmath>
 #include <deque>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/rng.h"
@@ -28,6 +26,11 @@ std::atomic<std::uint64_t> g_test_sequence{0};
 // were never issued, completions past the watchdog deadline, completions
 // that never arrive) is counted and logged rather than thrown: one bad
 // inference must not kill the whole submission (paper App. D).
+//
+// RunTest hands out query ids 1..N in order, so every per-query fact lives
+// in one dense table indexed by id - 1: no hashing and no node allocation
+// per query.  An id the table does not hold as issued (0, shed, or past the
+// last one handed out) is unknown and never grows the table.
 class Collector final : public ResponseSink {
  public:
   Collector(const Clock& clock, TestLog& log, bool keep_outputs,
@@ -38,14 +41,16 @@ class Collector final : public ResponseSink {
         timeout_(query_timeout),
         test_sequence_(test_sequence) {}
 
+  // Sizes the table for `n` more queries.
+  void Reserve(std::size_t n) { queries_.reserve(queries_.size() + n); }
+
   void ExpectSample(const QuerySample& s) { ExpectSampleAt(s, clock_.Now()); }
 
   // Server scenario: latency counts from the scheduled (Poisson) arrival,
   // which includes any time the query spent queued behind earlier work.
   void ExpectSampleAt(const QuerySample& s, Seconds scheduled) {
-    issue_time_[s.id] = scheduled;
-    sample_index_[s.id] = s.index;
-    if (issue_time_.size() == 1 || scheduled < first_issue_)
+    Add(s, scheduled, State::kIssued);
+    if (issued_count() == 1 || scheduled < first_issue_)
       first_issue_ = scheduled;
     log_.Record(LogEventKind::kQueryIssued, s.id, scheduled);
     if (obs::TraceRecorder& rec = obs::TraceRecorder::Global();
@@ -64,6 +69,7 @@ class Collector final : public ResponseSink {
   // `shed` taxonomy class.  The sample never reaches the SUT, so there is
   // nothing for the watchdog to wait on.
   void Shed(const QuerySample& s, Seconds scheduled) {
+    Add(s, scheduled, State::kShed);
     ++shed_count_;
     log_.Record(LogEventKind::kQueryShed, s.id, scheduled);
     Error("query " + std::to_string(s.id) +
@@ -75,7 +81,6 @@ class Collector final : public ResponseSink {
                      {obs::Arg("query", s.id),
                       obs::Arg("sample", static_cast<std::uint64_t>(s.index))},
                      "admission");
-    obs::MetricsRegistry::Global().Increment("loadgen.queries_shed");
   }
 
   // SUT-side fast-fail (open circuit breaker): the query was issued but the
@@ -84,15 +89,14 @@ class Collector final : public ResponseSink {
   // arrive.
   void Reject(std::uint64_t id, std::string_view reason) override {
     const Seconds now = clock_.Now();
-    const auto it = issue_time_.find(id);
-    if (it == issue_time_.end() || completed_.contains(id) ||
-        rejected_.contains(id)) {
+    Query* q = Find(id);
+    if (q == nullptr || q->state != State::kIssued) {
       ++unknown_count_;
       Error("rejection for query " + std::to_string(id) +
             " that is not outstanding (ignored)");
       return;
     }
-    rejected_.insert(id);
+    q->state = State::kRejected;
     ++rejected_count_;
     log_.Record(LogEventKind::kQueryRejected, id, now);
     Error("query " + std::to_string(id) + " rejected by SUT: " +
@@ -103,33 +107,33 @@ class Collector final : public ResponseSink {
                       AsyncId(id), now.count() * 1e6,
                       {obs::Arg("outcome", "rejected"),
                        obs::Arg("reason", std::string(reason))});
-    obs::MetricsRegistry::Global().Increment("loadgen.queries_rejected");
   }
 
   void Complete(QuerySampleResponse response) override {
     const Seconds now = clock_.Now();
-    const auto it = issue_time_.find(response.id);
-    if (it == issue_time_.end()) {
+    Query* q = Find(response.id);
+    if (q == nullptr) {
       ++unknown_count_;
       Error("completion for query " + std::to_string(response.id) +
             ", which was never issued (ignored)");
       return;
     }
-    if (rejected_.contains(response.id)) {
+    if (q->state == State::kRejected) {
       ++duplicate_count_;
       Error("query " + std::to_string(response.id) +
             " completed after being rejected (ignored)");
       return;
     }
-    if (completed_.contains(response.id)) {
+    if (q->state == State::kCompleted) {
       ++duplicate_count_;
       Error("query " + std::to_string(response.id) +
             " completed more than once (ignored)");
       return;
     }
-    completed_.insert(response.id);
+    q->state = State::kCompleted;
+    ++completed_count_;
     log_.Record(LogEventKind::kQueryCompleted, response.id, now);
-    const Seconds latency = now - it->second;
+    const Seconds latency = now - q->issued_at;
     last_completion_ = std::max(last_completion_, now);
     const bool expired = timeout_.count() > 0.0 && latency > timeout_;
     if (obs::TraceRecorder& rec = obs::TraceRecorder::Global();
@@ -149,40 +153,41 @@ class Collector final : public ResponseSink {
     }
     latencies_s_.push_back(latency.count());
     if (keep_outputs_)
-      outputs_.emplace_back(sample_index_[response.id],
-                            std::move(response.outputs));
+      outputs_.emplace_back(q->sample_index, std::move(response.outputs));
   }
 
-  // End of test: expire every query whose completion never arrived.  With
-  // the watchdog configured they count as timed out (the deadline has
-  // passed — the test is over); without it they are dropped.
+  // End of test: expire every query whose completion never arrived, in id
+  // order.  With the watchdog configured they count as timed out (the
+  // deadline has passed — the test is over); without it they are dropped.
   void ExpireOutstanding() {
-    for (const auto& [id, issued_at] : issue_time_) {
-      if (completed_.contains(id) || rejected_.contains(id)) continue;
+    for (std::size_t i = 0; i < queries_.size(); ++i) {
+      if (queries_[i].state != State::kIssued) continue;
+      const std::string id = std::to_string(i + 1);
       if (timeout_.count() > 0.0) {
         ++timed_out_count_;
-        Error("query " + std::to_string(id) +
-              " never completed (watchdog deadline " +
+        Error("query " + id + " never completed (watchdog deadline " +
               std::to_string(timeout_.count()) + " s)");
       } else {
         ++dropped_count_;
-        Error("query " + std::to_string(id) + " never completed (dropped)");
+        Error("query " + id + " never completed (dropped)");
       }
     }
   }
 
   [[nodiscard]] std::size_t completed_count() const {
-    return completed_.size();
+    return completed_count_;
   }
   // Queries that reached a terminal state through the sink (completed or
   // rejected) — the progress measure the stall detector watches, since a
   // breaker that fast-fails every query is making (degenerate) progress.
   [[nodiscard]] std::size_t resolved_count() const {
-    return completed_.size() + rejected_.size();
+    return completed_count_ + rejected_count_;
   }
-  [[nodiscard]] std::size_t issued_count() const { return issue_time_.size(); }
-  [[nodiscard]] const std::vector<double>& latencies() const {
-    return latencies_s_;
+  [[nodiscard]] std::size_t issued_count() const {
+    return queries_.size() - shed_count_;
+  }
+  [[nodiscard]] std::vector<double>&& TakeLatencies() {
+    return std::move(latencies_s_);
   }
   [[nodiscard]] Seconds last_completion() const { return last_completion_; }
   [[nodiscard]] std::vector<std::pair<std::size_t,
@@ -206,6 +211,26 @@ class Collector final : public ResponseSink {
   }
 
  private:
+  enum class State : std::uint8_t { kIssued, kShed, kCompleted, kRejected };
+  struct Query {
+    Seconds issued_at{0.0};
+    std::size_t sample_index = 0;
+    State state = State::kIssued;
+  };
+
+  // Appends the next id's row; ids come from RunTest in order from 1.
+  void Add(const QuerySample& s, Seconds at, State state) {
+    Expects(s.id == queries_.size() + 1, "query ids must be issued in order");
+    queries_.push_back(Query{at, s.index, state});
+  }
+
+  // The row of an issued (not shed) query, or null.
+  [[nodiscard]] Query* Find(std::uint64_t id) {
+    if (id == 0 || id > queries_.size()) return nullptr;
+    Query& q = queries_[id - 1];
+    return q.state == State::kShed ? nullptr : &q;
+  }
+
   void Error(std::string what) { errors_.push_back(std::move(what)); }
 
   // Process-unique async-event id for a query of this test.
@@ -218,14 +243,12 @@ class Collector final : public ResponseSink {
   bool keep_outputs_;
   Seconds timeout_;
   std::uint64_t test_sequence_;
-  std::unordered_map<std::uint64_t, Seconds> issue_time_;
-  std::unordered_map<std::uint64_t, std::size_t> sample_index_;
+  std::vector<Query> queries_;  // row id - 1
   Seconds first_issue_{0.0};
-  std::unordered_set<std::uint64_t> completed_;
-  std::unordered_set<std::uint64_t> rejected_;
   std::vector<double> latencies_s_;
   Seconds last_completion_{0.0};
   std::vector<std::pair<std::size_t, std::vector<infer::Tensor>>> outputs_;
+  std::size_t completed_count_ = 0;
   std::size_t dropped_count_ = 0;
   std::size_t timed_out_count_ = 0;
   std::size_t duplicate_count_ = 0;
@@ -236,8 +259,8 @@ class Collector final : public ResponseSink {
 };
 
 void FillSummary(TestResult& r, const TestSettings& settings,
-                 const Collector& collector, Seconds start, Seconds end) {
-  r.latencies_s = collector.latencies();
+                 Collector& collector, Seconds start, Seconds end) {
+  r.latencies_s = collector.TakeLatencies();
   r.sample_count = r.latencies_s.size();
   r.duration_s = (end - start).count();
   if (!r.latencies_s.empty()) {
@@ -287,6 +310,12 @@ void FinalizeErrors(TestResult& r, Collector& collector) {
   metrics.Increment("loadgen.queries_completed",
                     collector.completed_count());
   metrics.Increment("loadgen.queries_errored", r.AnomalyCount());
+  // Counted per query by the collector, published here once per test; a
+  // counter that never moved stays out of the registry.
+  if (r.shed_count > 0)
+    metrics.Increment("loadgen.queries_shed", r.shed_count);
+  if (r.rejected_count > 0)
+    metrics.Increment("loadgen.queries_rejected", r.rejected_count);
 }
 
 }  // namespace
@@ -350,6 +379,7 @@ TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
     qsl.LoadSamplesToRam(all);
     const Seconds start = clock.Now();
     mark("issue");
+    collector.Reserve(total);
     for (std::size_t i = 0; i < total; ++i) {
       const QuerySample s{next_id++, i};
       collector.ExpectSample(s);
@@ -422,6 +452,7 @@ TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
     // Offline: the whole burst in one query (paper §4.2).
     std::vector<QuerySample> burst;
     burst.reserve(settings.offline_sample_count);
+    collector.Reserve(settings.offline_sample_count);
     for (std::size_t i = 0; i < settings.offline_sample_count; ++i) {
       burst.push_back(QuerySample{
           next_id++, static_cast<std::size_t>(rng.NextBelow(perf_count))});
@@ -437,6 +468,8 @@ TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
             "multi-stream needs at least one sample per query");
     std::vector<double> query_latencies;
     query_latencies.reserve(settings.multistream_query_count);
+    collector.Reserve(settings.multistream_query_count *
+                      settings.multistream_samples_per_query);
     for (std::size_t q = 0; q < settings.multistream_query_count; ++q) {
       const Seconds scheduled =
           start + settings.multistream_interval * static_cast<double>(q);
@@ -494,6 +527,7 @@ TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
     // Completion times of admitted-but-possibly-unfinished queries, in
     // issue order (the SUT runs them serially on the test clock).
     std::deque<Seconds> admitted;
+    collector.Reserve(settings.server_query_count);
     for (std::size_t i = 0; i < settings.server_query_count; ++i) {
       const double gap = -std::log(1.0 - arrival_rng.NextDouble()) /
                          settings.server_target_qps;

@@ -24,6 +24,26 @@ double& TraceTimelineEnd() {
 
 }  // namespace
 
+void SocSimulator::PendingCounts::Count(const InferenceResult& r) {
+  ++counts_.inferences;
+  if (r.throttle_factor < 1.0) ++counts_.throttled;
+  if (r.outcome != InferenceOutcome::kOk) ++counts_.faults;
+  if (r.outcome == InferenceOutcome::kThermalEmergency)
+    ++counts_.thermal_emergencies;
+}
+
+void SocSimulator::PendingCounts::Publish() {
+  const Counts c = std::exchange(counts_, {});
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  // A counter that never moved stays out of the registry.
+  for (const auto& [name, n] :
+       {std::pair{"soc.inferences", c.inferences},
+        std::pair{"soc.throttled_inferences", c.throttled},
+        std::pair{"soc.faults_injected", c.faults},
+        std::pair{"soc.thermal_emergencies", c.thermal_emergencies}})
+    if (n > 0) metrics.Increment(name, n);
+}
+
 SocSimulator::SocSimulator(ChipsetDesc chipset)
     : chipset_(std::move(chipset)), thermal_(chipset_.thermal) {}
 
@@ -109,13 +129,7 @@ InferenceResult SocSimulator::RunInference(const CompiledModel& model) {
     thermal_.ForceTemperature(thermal_.throttle_limit_c());
   r.temperature_c = thermal_.temperature_c();
 
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.Increment("soc.inferences");
-  if (r.throttle_factor < 1.0) metrics.Increment("soc.throttled_inferences");
-  if (r.outcome != InferenceOutcome::kOk)
-    metrics.Increment("soc.faults_injected");
-  if (r.outcome == InferenceOutcome::kThermalEmergency)
-    metrics.Increment("soc.thermal_emergencies");
+  pending_.Count(r);
 
   if (obs::TraceRecorder& rec = obs::TraceRecorder::Global();
       rec.enabled()) {

@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "soc/chipset.h"
@@ -134,7 +135,48 @@ class SocSimulator {
     return trace_lane_prefix_;
   }
 
+  // Adds the soc.* inference counters accrued since the last call to the
+  // process registry.  Backends call it once per test (FlushQueries); a
+  // simulator also publishes what is left when it is destroyed.
+  void PublishMetrics() { pending_.Publish(); }
+
  private:
+  // Per-inference counters not yet in the registry (DESIGN.md §11: no
+  // registry update per inference).  A copy starts with nothing pending, a
+  // move empties its source, and assignment and destruction publish what
+  // the target still held, so every count reaches the registry once.
+  class PendingCounts {
+   public:
+    PendingCounts() = default;
+    PendingCounts(const PendingCounts& /*other*/) noexcept {}
+    PendingCounts(PendingCounts&& other) noexcept
+        : counts_(std::exchange(other.counts_, {})) {}
+    PendingCounts& operator=(const PendingCounts& other) {
+      if (this != &other) Publish();
+      return *this;
+    }
+    PendingCounts& operator=(PendingCounts&& other) noexcept {
+      if (this != &other) {
+        Publish();
+        counts_ = std::exchange(other.counts_, {});
+      }
+      return *this;
+    }
+    ~PendingCounts() { Publish(); }
+
+    void Count(const InferenceResult& r);
+    void Publish();
+
+   private:
+    struct Counts {
+      std::uint64_t inferences = 0;
+      std::uint64_t throttled = 0;
+      std::uint64_t faults = 0;
+      std::uint64_t thermal_emergencies = 0;
+    };
+    Counts counts_;
+  };
+
   // Maps this simulator's local busy time onto the process-wide simulated
   // timeline (obs::Domain::kSim).  Every test builds a fresh simulator whose
   // busy time restarts at zero; without an epoch the traces of consecutive
@@ -152,6 +194,7 @@ class SocSimulator {
   double busy_time_s_ = 0.0;
   double trace_epoch_s_ = -1.0;  // <0: not claimed yet
   std::string trace_lane_prefix_;
+  PendingCounts pending_;
 };
 
 }  // namespace mlpm::soc

@@ -205,6 +205,9 @@ TEST(FlagTable, RefusesUnknownValuelessAndUnresolvableFlags) {
       {{{"--scenario", "server"}, "unknown flag '--scenario'"},
        {{"--fleet", "4", "--csv"}, "--csv: missing value"},
        {{"--chipset", ""}, "--chipset: missing value"},
+       {{"--fleet", "4", "--csv", "x.csv", "--log", "y.log"},
+        "--csv: not used with --fleet"},
+       {{"--tile", "auto", "--fleet", "4"}, "--tile: not used with --fleet"},
        {{"--fleet-mix", "Exynos 2100:qa", "--version", "v0.7"},
         "--fleet-mix: "}};
   for (const auto& [argv, prefix] : kCases) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/circuit_breaker.h"
 #include "backends/simulated_backend.h"
 #include "backends/vendor_policy.h"
 #include "common/check.h"
@@ -25,7 +26,9 @@
 #include "fleet/report.h"
 #include "harness/run_session.h"
 #include "models/zoo.h"
+#include "obs/metrics.h"
 #include "soc/chipset.h"
+#include "soc/faults.h"
 
 namespace mlpm {
 namespace {
@@ -110,6 +113,50 @@ TEST(Fleet, OverloadAccountingIdentityHolds) {
   EXPECT_EQ(r.offered, r.issued + r.shed);
   EXPECT_EQ(r.issued,
             r.completed + r.timed_out + r.dropped + r.rejected);
+}
+
+// Shards count shed, rejected and simulated queries locally and publish
+// once per test; the registry must still hold true sums, at any worker
+// count.
+TEST(Fleet, PublishedCountersSumTheReport) {
+  fleet::FleetOptions fo = SmallFleet(64);
+  fo.settings.server_target_qps = 400.0;
+  fo.settings.server_max_queue_depth = 4;
+  fo.settings.query_timeout = loadgen::Seconds{0.200};
+  soc::FaultPlan faults;
+  faults.DriverCrashes(0.2);
+  fo.fault_plan = faults;
+  fo.circuit_breaker = backends::CircuitBreakerOptions{};
+
+  std::vector<std::vector<std::uint64_t>> runs;
+  for (const std::size_t workers : {1u, 4u}) {
+    fo.workers = workers;
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+    metrics.Reset();
+    const fleet::FleetReport r = fleet::RunFleet(fo);
+    ASSERT_EQ(r.shards.size(), 64u);
+    std::size_t faulted = 0;
+    for (const fleet::ShardResult& s : r.shards) faulted += s.fault_count;
+    ASSERT_GT(r.shed, 0u) << "the fleet must shed for the test to bite";
+    ASSERT_GT(r.rejected, 0u) << "the breaker must reject";
+    ASSERT_GT(faulted, 0u) << "the fault plan must fire";
+
+    const std::vector<std::uint64_t> counters = {
+        metrics.counter("loadgen.queries_shed"),
+        metrics.counter("loadgen.queries_rejected"),
+        metrics.counter("loadgen.queries_issued"),
+        metrics.counter("soc.inferences"),
+        metrics.counter("soc.faults_injected")};
+    EXPECT_EQ(counters[0], r.shed) << workers << " worker(s)";
+    EXPECT_EQ(counters[1], r.rejected) << workers << " worker(s)";
+    EXPECT_EQ(counters[2], r.issued) << workers << " worker(s)";
+    // A rejected query never reaches the simulator; every other issued
+    // query is one attempt, crashed or not.
+    EXPECT_EQ(counters[3], r.issued - r.rejected) << workers << " worker(s)";
+    EXPECT_EQ(counters[4], faulted) << workers << " worker(s)";
+    runs.push_back(counters);
+  }
+  EXPECT_EQ(runs[0], runs[1]);
 }
 
 // ---------------------------------------------------------------------------

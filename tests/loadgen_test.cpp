@@ -4,6 +4,11 @@
 // query async spans).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
 #include "core/logging.h"
@@ -840,6 +845,117 @@ TEST(LoadGenConformance, DroppedQueriesLeaveUnmatchedAsyncBegins) {
       obs::ValidateChromeTrace(rec.ToChromeJson(), &stats);
   for (const std::string& p : problems) ADD_FAILURE() << p;
   EXPECT_EQ(stats.unmatched_async_begins, r.dropped_count);
+}
+
+// ---- collector edge cases (ids are dense: 1..N per test) ----
+
+// A server SUT that, before completing each query, completes ids the
+// LoadGen never has outstanding: the most recently shed id, 0, the largest
+// id, and the id after the one just issued.
+class StrayIdSut final : public SystemUnderTest {
+ public:
+  explicit StrayIdSut(VirtualClock& clock) : clock_(clock) {}
+  [[nodiscard]] std::string_view name() const override { return "stray"; }
+  void IssueQuery(std::span<const QuerySample> samples,
+                  ResponseSink& sink) override {
+    const std::uint64_t id = samples[0].id;
+    clock_.Advance(Seconds{0.001});
+    // Ids skipped since the previous issue were shed.
+    if (id > last_ + 1) {
+      sink.Complete(QuerySampleResponse{id - 1, {}});
+      ++stray_;
+    }
+    for (const std::uint64_t stray :
+         {std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max(),
+          id + 1}) {
+      sink.Complete(QuerySampleResponse{stray, {}});
+      ++stray_;
+    }
+    sink.Complete(QuerySampleResponse{id, {}});
+    last_ = id;
+  }
+  std::size_t stray_ = 0;
+
+ private:
+  VirtualClock& clock_;
+  std::uint64_t last_ = 0;
+};
+
+TEST(Collector, StrayIdsCountAsUnknownAndNeverGrowTheTable) {
+  VirtualClock clock;
+  StrayIdSut sut(clock);
+  FakeQsl qsl(16);
+  TestSettings s = OverloadSettings();
+  s.server_max_queue_depth = 8;
+  TestResult r;
+  ASSERT_NO_THROW(r = RunTest(sut, qsl, s, clock));
+  ASSERT_GT(r.shed_count, 0u);
+  EXPECT_EQ(r.unknown_count, sut.stray_);
+  EXPECT_EQ(r.duplicate_count, 0u);
+  // The table still holds exactly the offered queries: a stray id added no
+  // row, so the issued count and the log are those of a clean run.
+  EXPECT_EQ(r.issued_count + r.shed_count, s.server_query_count);
+  EXPECT_EQ(r.sample_count, r.issued_count);
+  EXPECT_EQ(r.log.events().size(), s.server_query_count + r.sample_count);
+}
+
+// Rejects every query twice, then completes it.
+class RejectTwiceSut final : public SystemUnderTest {
+ public:
+  explicit RejectTwiceSut(VirtualClock& clock) : clock_(clock) {}
+  [[nodiscard]] std::string_view name() const override { return "reject2"; }
+  void IssueQuery(std::span<const QuerySample> samples,
+                  ResponseSink& sink) override {
+    clock_.Advance(Seconds{0.001});
+    sink.Reject(samples[0].id, "first");
+    sink.Reject(samples[0].id, "again");
+    sink.Complete(QuerySampleResponse{samples[0].id, {}});
+  }
+
+ private:
+  VirtualClock& clock_;
+};
+
+TEST(Collector, RepeatRejectionIsUnknownAndLateCompletionIsDuplicate) {
+  VirtualClock clock;
+  RejectTwiceSut sut(clock);
+  FakeQsl qsl(4);
+  TestSettings s = FastSettings();
+  s.min_duration = Seconds{0.0};
+  const TestResult r = RunTest(sut, qsl, s, clock);
+  EXPECT_EQ(r.issued_count, s.min_query_count);
+  EXPECT_EQ(r.rejected_count, r.issued_count);
+  EXPECT_EQ(r.unknown_count, r.issued_count);    // the second rejections
+  EXPECT_EQ(r.duplicate_count, r.issued_count);  // the late completions
+  EXPECT_EQ(r.sample_count, 0u);
+  EXPECT_EQ(r.dropped_count + r.timed_out_count, 0u);
+}
+
+// The ids of "query N never completed" lines, in log order.
+std::vector<std::uint64_t> NeverCompletedIds(const TestResult& r) {
+  std::vector<std::uint64_t> ids;
+  for (const std::string& line : r.error_log)
+    if (line.find("never completed") != std::string::npos)
+      ids.push_back(std::stoull(line.substr(line.find(' ') + 1)));
+  return ids;
+}
+
+TEST(Collector, ExpiredQueriesAreLoggedInIdOrder) {
+  for (const double timeout_s : {0.0, 0.5}) {
+    VirtualClock clock;
+    DroppySut sut(clock, 3);
+    FakeQsl qsl(8);
+    TestSettings s = FastSettings();
+    s.query_timeout = Seconds{timeout_s};
+    const TestResult r = RunTest(sut, qsl, s, clock);
+    const std::vector<std::uint64_t> ids = NeverCompletedIds(r);
+    EXPECT_EQ(ids.size(), r.dropped_count + r.timed_out_count);
+    ASSERT_GT(ids.size(), 8u) << "timeout " << timeout_s;
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()))
+        << "timeout " << timeout_s;
+    // Every third query was the one dropped.
+    for (const std::uint64_t id : ids) EXPECT_EQ(id % 3, 0u) << id;
+  }
 }
 
 TEST(OfficialSeed, MatchesSpec) {

@@ -2,10 +2,15 @@
 // sweeps rather than single examples.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "backends/vendor_policy.h"
 #include "common/rng.h"
+#include "common/statistics.h"
 #include "datasets/preprocess.h"
 #include "infer/executor.h"
 #include "infer/weights.h"
@@ -21,6 +26,49 @@
 
 namespace mlpm {
 namespace {
+
+// ---- selection percentiles equal the sort-based ones, bit for bit ----
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> bits;
+  for (double x : v) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  return bits;
+}
+
+TEST(StatisticsProperty, SelectionPercentilesMatchSortBitForBit) {
+  // Ascending, shuffled and repeated requests: the selection must not
+  // depend on the order the percentiles are asked in.
+  const std::vector<std::vector<double>> requests = {
+      {0.0, 50.0, 90.0, 99.0, 100.0}, {99.0, 0.0, 50.0, 50.0, 100.0, 90.0}};
+  Rng rng(0x5E1EC7);
+  std::vector<std::vector<double>> inputs = {{0.25}, {2.0, -1.0}, {3.0, 3.0}};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng.NextBelow(2000));
+    // Few distinct levels in half the trials, so ties are common.
+    const std::uint64_t levels = trial % 2 == 0 ? 1 + rng.NextBelow(8) : 0;
+    std::vector<double> v(n);
+    for (double& x : v)
+      x = levels > 0 ? static_cast<double>(rng.NextBelow(levels)) * 0.125
+                     : rng.NextDouble() * 40.0 - 10.0;
+    inputs.push_back(std::move(v));
+  }
+  for (const std::vector<double>& v : inputs) {
+    for (const std::vector<double>& ps : requests) {
+      std::vector<double> scratch = v;
+      EXPECT_EQ(Bits(PercentilesInPlace(scratch, ps)), Bits(Percentiles(v, ps)))
+          << "n=" << v.size();
+      // The selection only reorders.
+      std::sort(scratch.begin(), scratch.end());
+      std::vector<double> sorted = v;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(scratch, sorted);
+      for (double p : ps)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(Percentile(v, p)),
+                  std::bit_cast<std::uint64_t>(PercentileOfSorted(sorted, p)))
+            << "n=" << v.size() << " p=" << p;
+    }
+  }
+}
 
 // ---- executor determinism & numerics bounds across the whole zoo ----
 

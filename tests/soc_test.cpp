@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/cost.h"
+#include "obs/metrics.h"
 #include "soc/chipset.h"
 #include "soc/compile.h"
 #include "soc/simulator.h"
@@ -374,6 +375,38 @@ TEST(Simulator, CooldownRestoresLatency) {
   for (int i = 0; i < 50000; ++i) (void)sim.RunInference(m);
   sim.Cooldown(3600.0);
   EXPECT_NEAR(sim.RunInference(m).latency_s, fresh, fresh * 0.01);
+}
+
+// Inference counters are published per test, not per inference, and every
+// count reaches the registry exactly once: a move hands pending counts over,
+// a copy starts with none, and assignment or destruction publishes what the
+// target held.
+TEST(Simulator, PendingCountersReachTheRegistryOnce) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  const auto inferences = [&] { return metrics.counter("soc.inferences"); };
+  ExecutionPolicy p;
+  p.engines = {"apu"};
+  const CompiledModel m = Compile(FourConvNet(), DataType::kInt8,
+                                  Dimensity1100(), p, RuntimeOverheads{});
+  {
+    SocSimulator a(Dimensity1100());
+    for (int i = 0; i < 3; ++i) (void)a.RunInference(m);
+    SocSimulator b(std::move(a));  // takes a's 3
+    (void)b.RunInference(m);
+    SocSimulator c(b);  // starts with none
+    (void)c.RunInference(m);
+    EXPECT_EQ(inferences(), 0u) << "published per inference";
+    b.PublishMetrics();
+    b.PublishMetrics();
+    EXPECT_EQ(inferences(), 4u);
+    a = std::move(c);  // a held none; takes c's 1
+    (void)b.RunInference(m);
+    b = a;  // publishes b's 1; a keeps its 1
+    EXPECT_EQ(inferences(), 5u);
+  }
+  EXPECT_EQ(inferences(), 6u);  // a's 1, at destruction
+  EXPECT_EQ(metrics.counter("soc.faults_injected"), 0u);
 }
 
 TEST(Simulator, BatchCompletionTimesMonotone) {

@@ -9,7 +9,7 @@
 // seeded fault schedule makes every row reproducible.
 #include <cstdio>
 
-#include "backends/fault_tolerant_backend.h"
+#include "backends/simulated_backend.h"
 #include "backends/vendor_policy.h"
 #include "common/table.h"
 #include "core/dataset_qsl.h"
@@ -26,7 +26,7 @@ using namespace mlpm;
 struct StudyRow {
   std::string label;
   loadgen::TestResult result;
-  backends::FaultTolerantBackend::Stats stats;
+  backends::SimulatedBackend::Stats stats;
   std::size_t fault_count = 0;
   std::string fault_log;
 };
@@ -45,11 +45,12 @@ StudyRow RunStudy(const std::string& label, const soc::ChipsetDesc& chipset,
   if (plan != nullptr) sim.InjectFaults(*plan);
 
   loadgen::VirtualClock clock;
-  backends::FaultTolerantBackend sut(
+  backends::SimulatedBackend sut(
       chipset.name + "/" + label, std::move(sim),
       backends::CompileSubmission(chipset, sub, model),
-      backends::CompileCpuFallback(chipset, model, sub.numerics),
-      backends::CompileOfflineReplicas(chipset, sub, model), clock);
+      backends::CompileOfflineReplicas(chipset, sub, model), clock, {},
+      backends::Recovery{
+          backends::CompileCpuFallback(chipset, model, sub.numerics), {}});
 
   loadgen::DatasetQsl qsl(dataset);
   loadgen::TestSettings s;

@@ -1,10 +1,12 @@
 // Per-backend circuit breaker (DESIGN.md §12): an admission layer between
-// the LoadGen and a fault-tolerant SUT that stops hammering a backend which
-// has stopped answering.  Classic three-state machine:
+// the LoadGen and a SimulatedBackend that stops hammering a backend which
+// has stopped answering.  It holds the backend by reference, so the backend
+// must outlive it.  Classic three-state machine:
 //
 //   closed    — queries pass through; `trip_threshold` *consecutive*
-//               no-completion outcomes (FaultTolerantBackend kGaveUp, lost
-//               completions, watchdog-bound drops) trip it open;
+//               no-completion outcomes (the backend's gave-up outcome under
+//               a Recovery, lost completions, watchdog-bound drops) trip it
+//               open;
 //   open      — queries are fast-failed through ResponseSink::Reject (the
 //               `rejected` taxonomy class) at a small fixed virtual-clock
 //               cost until a seeded, jittered reopen deadline passes;
@@ -14,8 +16,8 @@
 //
 // All timing is on the test's VirtualClock and the probe schedule comes
 // from a seeded Rng, so the transition log is byte-identical across
-// same-seed runs — the same determinism contract the fault-tolerant
-// backend keeps for its recovery log.
+// same-seed runs — the same determinism contract the simulated backend
+// keeps for its recovery log.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "backends/reference_backend.h"
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace mlpm::backends {
 
@@ -14,19 +13,10 @@ ReferenceBackend::ReferenceBackend(std::string name,
 void ReferenceBackend::IssueQuery(
     std::span<const loadgen::QuerySample> samples,
     loadgen::ResponseSink& sink) {
-  if (pool_ != nullptr && pool_->thread_count() > 1) {
-    // Defer: accuracy mode issues samples one at a time, so evaluating here
-    // would serialize.  FlushQueries sees the whole set and fans out.
-    pending_.insert(pending_.end(), samples.begin(), samples.end());
-    sink_ = &sink;
-    return;
-  }
-  if (!ctx_.has_value()) ctx_.emplace(executor_.CreateContext());
-  for (const loadgen::QuerySample& s : samples) {
-    std::vector<infer::Tensor> outputs =
-        executor_.Run(qsl_.Loaded(s.index), *ctx_);
-    sink.Complete(loadgen::QuerySampleResponse{s.id, std::move(outputs)});
-  }
+  // Accuracy mode issues samples one at a time, so evaluating here would
+  // serialize.  FlushQueries sees the whole set and fans out.
+  pending_.insert(pending_.end(), samples.begin(), samples.end());
+  sink_ = &sink;
 }
 
 void ReferenceBackend::FlushQueries() {

@@ -4,16 +4,15 @@
 // is what accuracy mode runs against (model outputs are real tensors the
 // data set can score).
 //
-// With a ThreadPool the backend defers samples at IssueQuery and evaluates
-// the whole batch in FlushQueries, fanned out over pool threads; responses
+// It serves accuracy mode only.  IssueQuery queues each sample and
+// FlushQueries evaluates the whole set through infer::RunSamplesParallel,
+// fanned out over the pool's threads (inline with a null pool); responses
 // complete sequentially in issue order, so accuracy results are
-// bit-identical to the serial path.  Deferred mode is only meant for
-// accuracy runs: performance mode's virtual-clock latency accounting needs
-// completion inside IssueQuery, so pass a null pool there.
+// bit-identical for any lane count.  Performance mode's virtual-clock
+// latency accounting needs completion inside IssueQuery, which this
+// backend never does.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,13 +44,7 @@ class ReferenceBackend final : public loadgen::SystemUnderTest {
   const infer::Executor& executor_;
   const loadgen::DatasetQsl& qsl_;
   const ThreadPool* pool_;
-  // Arena context for the serial IssueQuery path, created on first use and
-  // reused for every sample.  IssueQuery is called sequentially per the SUT
-  // contract, so one context suffices; the deferred path makes its own
-  // per-worker contexts inside RunSamplesParallel.
-  std::optional<infer::ExecutionContext> ctx_;
-  // Deferred-mode state: samples queued by IssueQuery, completed in batch
-  // by FlushQueries.
+  // Samples queued by IssueQuery, completed in batch by FlushQueries.
   std::vector<loadgen::QuerySample> pending_;
   loadgen::ResponseSink* sink_ = nullptr;
 };

@@ -258,4 +258,26 @@ std::vector<soc::CompiledModel> CompileOfflineReplicas(
   return replicas;
 }
 
+soc::CompiledModel CompileCpuFallback(const soc::ChipsetDesc& chipset,
+                                      const graph::Graph& model,
+                                      DataType preferred) {
+  const soc::AcceleratorDesc* cpu = nullptr;
+  for (const soc::AcceleratorDesc& e : chipset.engines)
+    if (e.cls == soc::EngineClass::kCpuBig ||
+        e.cls == soc::EngineClass::kCpuLittle) {
+      cpu = &e;
+      break;
+    }
+  Expects(cpu != nullptr, "chipset has no CPU engine for fallback");
+  // Broken-driver territory is exactly where NNAPI's generic CPU path
+  // lives (App. D); reuse its overhead profile, including HAL-granularity
+  // partitioning.
+  const FrameworkTraits traits = NnapiTraits("cpu-fallback");
+  ExecutionPolicy policy = OnEngine(cpu->name);
+  policy.force_partition_every = traits.force_partition_every;
+  const DataType numerics =
+      cpu->Supports(preferred) ? preferred : DataType::kFloat32;
+  return soc::Compile(model, numerics, chipset, policy, traits.ToOverheads());
+}
+
 }  // namespace mlpm::backends

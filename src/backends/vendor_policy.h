@@ -51,4 +51,12 @@ struct SubmissionConfig {
     const soc::ChipsetDesc& chipset, const SubmissionConfig& config,
     const graph::Graph& model);
 
+// Compiles the CPU-fallback plan a Recovery degrades to: the whole graph
+// on the chipset's CPU through the generic NNAPI runtime path (the only
+// stack guaranteed to exist when a vendor driver is broken, App. D).
+// Falls back to FP32 numerics if the CPU does not support `preferred`.
+[[nodiscard]] soc::CompiledModel CompileCpuFallback(
+    const soc::ChipsetDesc& chipset, const graph::Graph& model,
+    DataType preferred);
+
 }  // namespace mlpm::backends

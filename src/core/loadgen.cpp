@@ -66,14 +66,13 @@ class Collector final : public ResponseSink {
   [[nodiscard]] Seconds first_issue() const { return first_issue_; }
 
   // Admission control refused this arrival before issue: log it under the
-  // `shed` taxonomy class.  The sample never reaches the SUT, so there is
-  // nothing for the watchdog to wait on.
+  // `shed` taxonomy class, as one kQueryShed event (error_log does not
+  // repeat it).  The sample never reaches the SUT, so there is nothing for
+  // the watchdog to wait on.
   void Shed(const QuerySample& s, Seconds scheduled) {
     Add(s, scheduled, State::kShed);
     ++shed_count_;
     log_.Record(LogEventKind::kQueryShed, s.id, scheduled);
-    Error("query " + std::to_string(s.id) +
-          " shed by admission control (issue queue full)");
     if (obs::TraceRecorder& rec = obs::TraceRecorder::Global();
         rec.enabled())
       rec.AddInstant(obs::Domain::kLoadGen, "admission", "shed",

@@ -167,7 +167,9 @@ std::uint64_t HashRunConfig(const soc::ChipsetDesc& chipset,
   canon.Add(o.performance_settings);
   if (o.fault_plan) {
     canon.Add(*o.fault_plan);
-    const backends::FaultToleranceOptions& ft = o.fault_tolerance;
+    // A submission recovers with the default policy; hashing its values
+    // keeps the hash of every existing journal unchanged.
+    const backends::FaultToleranceOptions ft;
     canon.AddU("ft_max_attempts", static_cast<std::uint64_t>(ft.max_attempts));
     canon.AddD("ft_backoff_base_s", ft.backoff_base_s);
     canon.AddU("ft_crash_fallback_threshold",

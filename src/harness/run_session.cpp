@@ -81,10 +81,9 @@ struct PerformanceAttempt {
 };
 
 // `backend` owns the simulator/energy accounting; `front` is the SUT the
-// LoadGen actually issues to.  They are the same object except when an
-// admission layer (circuit breaker) is interposed between them.
-template <typename Backend>
-PerformanceAttempt RunPerformanceWith(Backend& backend,
+// LoadGen actually issues to: the backend itself, or the circuit breaker
+// in front of it.
+PerformanceAttempt RunPerformanceWith(backends::SimulatedBackend& backend,
                                       loadgen::SystemUnderTest& front,
                                       loadgen::DatasetQsl& qsl,
                                       loadgen::VirtualClock& clock,
@@ -112,6 +111,9 @@ PerformanceAttempt RunPerformanceWith(Backend& backend,
   a.fault_count = backend.simulator().fault_count();
   if (const soc::FaultInjector* inj = backend.simulator().fault_injector())
     a.fault_log = inj->EventLogText();
+  a.fault_log += backend.EventLogText();
+  a.degradation_count = backend.stats().DegradationCount();
+  a.degraded_to_cpu = backend.degraded_to_cpu();
   return a;
 }
 
@@ -387,42 +389,31 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
     PerformanceAttempt attempt;
     for (int i = 0; i < attempts; ++i) {
       loadgen::VirtualClock clock;
+      soc::SocSimulator sim(chipset);
+      std::optional<backends::Recovery> recovery;
       if (options.fault_plan) {
-        soc::SocSimulator sim(chipset);
         sim.InjectFaults(*options.fault_plan);
-        backends::FaultTolerantBackend sut(
-            sut_name, std::move(sim),
-            backends::CompileSubmission(chipset, sub, full),
-            backends::CompileCpuFallback(chipset, full, sub.numerics),
-            backends::CompileOfflineReplicas(chipset, sub, full), clock,
-            options.fault_tolerance, e2e);
-        if (options.circuit_breaker) {
-          // Admission layer between the LoadGen and the recovery layer:
-          // consecutive never-completed queries trip it open and later
-          // queries fast-fail instead of burning the retry budget.
-          backends::CircuitBreakerBackend breaker(sut, clock,
-                                                  *options.circuit_breaker);
-          attempt =
-              RunPerformanceWith(sut, breaker, qsl, clock, options,
-                                 has_offline);
-          attempt.breaker_trips = breaker.stats().trips;
-          attempt.fault_log += sut.EventLogText();
-          attempt.fault_log += breaker.EventLogText();
-        } else {
-          attempt =
-              RunPerformanceWith(sut, sut, qsl, clock, options, has_offline);
-          attempt.fault_log += sut.EventLogText();
-        }
-        attempt.degradation_count = sut.stats().DegradationCount();
-        attempt.degraded_to_cpu = sut.degraded_to_cpu();
-      } else {
-        backends::SimulatedBackend sut(
-            sut_name, soc::SocSimulator(chipset),
-            backends::CompileSubmission(chipset, sub, full),
-            backends::CompileOfflineReplicas(chipset, sub, full), clock,
-            e2e);
-        attempt =
-            RunPerformanceWith(sut, sut, qsl, clock, options, has_offline);
+        recovery = backends::Recovery{
+            backends::CompileCpuFallback(chipset, full, sub.numerics), {}};
+      }
+      backends::SimulatedBackend sut(
+          sut_name, std::move(sim),
+          backends::CompileSubmission(chipset, sub, full),
+          backends::CompileOfflineReplicas(chipset, sub, full), clock, e2e,
+          std::move(recovery));
+      // Admission layer between the LoadGen and the backend: consecutive
+      // never-completed queries trip it open and later queries fast-fail
+      // instead of burning the retry budget.
+      std::optional<backends::CircuitBreakerBackend> breaker;
+      if (options.circuit_breaker)
+        breaker.emplace(sut, clock, *options.circuit_breaker);
+      loadgen::SystemUnderTest& front =
+          breaker ? static_cast<loadgen::SystemUnderTest&>(*breaker) : sut;
+      attempt =
+          RunPerformanceWith(sut, front, qsl, clock, options, has_offline);
+      if (breaker) {
+        attempt.breaker_trips = breaker->stats().trips;
+        attempt.fault_log += breaker->EventLogText();
       }
       tr.performance_attempts = i + 1;
       if (!attempt.Errored()) break;

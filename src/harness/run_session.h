@@ -18,7 +18,6 @@
 
 #include "analysis/diagnostics.h"
 #include "backends/circuit_breaker.h"
-#include "backends/fault_tolerant_backend.h"
 #include "backends/simulated_backend.h"
 #include "backends/vendor_policy.h"
 #include "core/loadgen.h"
@@ -63,19 +62,19 @@ struct RunOptions {
   bool use_qat_weights = false;
 
   // Fault tolerance.  A fault plan injects seeded runtime pathologies into
-  // the performance simulators (App. D); when set, performance tests run
-  // through the FaultTolerantBackend with the recovery policy below.  The
-  // run rules allow re-running a test: an errored performance test is
-  // retried up to `max_test_retries` times before the task is marked
-  // invalid.  No plan (the default) leaves behavior byte-identical.
+  // the performance simulators (App. D); when set, the simulated backend
+  // recovers with the default FaultToleranceOptions and a CPU-fallback
+  // plan.  The run rules allow re-running a test: an errored performance
+  // test is retried up to `max_test_retries` times before the task is
+  // marked invalid.  No plan (the default) leaves behavior byte-identical.
   std::optional<soc::FaultPlan> fault_plan;
-  backends::FaultToleranceOptions fault_tolerance;
   int max_test_retries = 1;
 
-  // Overload admission control (DESIGN.md §12).  When set, fault-tolerant
-  // performance runs go through a CircuitBreakerBackend that fast-fails
-  // queries while the backend keeps failing to complete them.  Requires a
-  // fault_plan (a fault-free backend never trips the breaker).
+  // Overload admission control (DESIGN.md §12).  When set, performance
+  // runs go through a CircuitBreakerBackend in front of the simulated
+  // backend that fast-fails queries while the backend keeps failing to
+  // complete them.  Without a fault_plan every query completes, so the
+  // breaker stays closed.
   std::optional<backends::CircuitBreakerOptions> circuit_breaker;
 
   // Worker threads for the accuracy phase (sample-level fan-out through the

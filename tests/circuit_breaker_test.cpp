@@ -259,21 +259,22 @@ TEST(CircuitBreaker, RejectsInvalidOptions) {
 
 // ---- harness integration ----
 
-TEST(CircuitBreakerIntegration, InvalidBackoffJitterFailsTheTask) {
-  // delay = base * 2^k * (1 + frac*(u-0.5)) must never go negative, so the
-  // fault-tolerant backend rejects fractions outside [0, 2) at
-  // construction; the harness surfaces that as an errored task.
+TEST(CircuitBreakerIntegration, InvalidBreakerBackoffFailsTheTask) {
+  // A backoff factor below 1 would shrink the open window on every
+  // reopen, so the breaker refuses it at construction; the harness
+  // surfaces that as an errored task and goes on to the next one.
   harness::SuiteBundles bundles;
   harness::RunOptions o;
   o.run_accuracy = false;
   o.run_offline = false;
   o.performance_settings.min_query_count = 64;
   o.performance_settings.min_duration = loadgen::Seconds{0.5};
-  o.fault_plan = soc::FaultPlan{};
-  o.fault_tolerance.backoff_jitter_frac = 2.5;
+  CircuitBreakerOptions breaker;
+  breaker.backoff_factor = 0.5;
+  o.circuit_breaker = breaker;
   const harness::SubmissionResult r = harness::RunSubmission(
       soc::Dimensity1100(), models::SuiteVersion::kV1_0, bundles, o);
-  ASSERT_FALSE(r.tasks.empty());
+  ASSERT_EQ(r.tasks.size(), 4u);
   for (const harness::TaskRunResult& t : r.tasks)
     EXPECT_EQ(t.status, harness::TaskStatus::kErrored);
 }

@@ -1,12 +1,15 @@
 // Tests for the fault-injection framework and the fault-tolerant run
-// pipeline: seeded determinism, recovery policy (retry / CPU fallback /
-// emergency cooldown), the LoadGen watchdog, and the degraded-run states
-// the harness reports.
+// pipeline: seeded determinism, the simulated backend's recovery policy
+// (retry / CPU fallback / emergency cooldown), the LoadGen watchdog, the
+// degraded-run states the harness reports, and pinned faulted output.
 #include <gtest/gtest.h>
 
-#include "backends/fault_tolerant_backend.h"
+#include "backends/simulated_backend.h"
 #include "backends/vendor_policy.h"
+#include "common/check.h"
 #include "core/loadgen.h"
+#include "harness/frame_log.h"
+#include "harness/report.h"
 #include "harness/run_session.h"
 #include "models/mobilenet_edgetpu.h"
 #include "models/zoo.h"
@@ -22,6 +25,12 @@ soc::CompiledModel AcceleratedPlan(const soc::ChipsetDesc& chip,
       chip, models::TaskType::kImageClassification,
       models::SuiteVersion::kV1_0);
   return backends::CompileSubmission(chip, sub, model);
+}
+
+backends::Recovery CpuRecovery(const soc::ChipsetDesc& chip,
+                               const graph::Graph& model,
+                               backends::FaultToleranceOptions opts = {}) {
+  return {backends::CompileCpuFallback(chip, model, DataType::kInt8), opts};
 }
 
 struct CountingSink final : loadgen::ResponseSink {
@@ -122,7 +131,33 @@ TEST(SocSimulator, CertainCrashFailsEveryAcceleratedInference) {
   EXPECT_EQ(faulty.fault_count(), 1u);
 }
 
-TEST(FaultTolerantBackend, DegradesAfterExactlyNConsecutiveCrashes) {
+TEST(SimulatedBackendRecovery, RefusesAnInvalidRecovery) {
+  const soc::ChipsetDesc chip = soc::Dimensity1100();
+  const graph::Graph model =
+      models::BuildMobileNetEdgeTpu(models::ModelScale::kFull);
+  const auto build = [&](backends::Recovery recovery) {
+    loadgen::VirtualClock clock;
+    backends::SimulatedBackend sut("ft", soc::SocSimulator(chip),
+                                   AcceleratedPlan(chip, model), {}, clock,
+                                   {}, std::move(recovery));
+  };
+  EXPECT_NO_THROW(build(CpuRecovery(chip, model)));
+  backends::FaultToleranceOptions no_attempts;
+  no_attempts.max_attempts = 0;
+  EXPECT_THROW(build(CpuRecovery(chip, model, no_attempts)), CheckError);
+  backends::FaultToleranceOptions no_threshold;
+  no_threshold.crash_fallback_threshold = 0;
+  EXPECT_THROW(build(CpuRecovery(chip, model, no_threshold)), CheckError);
+  // A jitter fraction of 2 or more could make a backoff delay negative.
+  backends::FaultToleranceOptions wide_jitter;
+  wide_jitter.backoff_jitter_frac = 2.5;
+  EXPECT_THROW(build(CpuRecovery(chip, model, wide_jitter)), CheckError);
+  // The fallback must be immune to accelerator faults, so CPU-only.
+  EXPECT_THROW(build(backends::Recovery{AcceleratedPlan(chip, model), {}}),
+               CheckError);
+}
+
+TEST(SimulatedBackendRecovery, DegradesAfterExactlyNConsecutiveCrashes) {
   const soc::ChipsetDesc chip = soc::Dimensity1100();
   const graph::Graph model =
       models::BuildMobileNetEdgeTpu(models::ModelScale::kFull);
@@ -133,10 +168,9 @@ TEST(FaultTolerantBackend, DegradesAfterExactlyNConsecutiveCrashes) {
   opts.crash_fallback_threshold = 3;
   opts.max_attempts = 5;  // enough room to fall back within one query
   loadgen::VirtualClock clock;
-  backends::FaultTolerantBackend sut(
-      "ft", std::move(sim), AcceleratedPlan(chip, model),
-      backends::CompileCpuFallback(chip, model, DataType::kInt8), {}, clock,
-      opts);
+  backends::SimulatedBackend sut(
+      "ft", std::move(sim), AcceleratedPlan(chip, model), {}, clock, {},
+      CpuRecovery(chip, model, opts));
 
   CountingSink sink;
   const loadgen::QuerySample q{1, 0};
@@ -158,7 +192,7 @@ TEST(FaultTolerantBackend, DegradesAfterExactlyNConsecutiveCrashes) {
   EXPECT_TRUE(saw_fallback);
 }
 
-TEST(FaultTolerantBackend, ThermalEmergencyCompletesThenCoolsDown) {
+TEST(SimulatedBackendRecovery, ThermalEmergencyCompletesThenCoolsDown) {
   const soc::ChipsetDesc chip = soc::Dimensity1100();
   const graph::Graph model =
       models::BuildMobileNetEdgeTpu(models::ModelScale::kFull);
@@ -168,10 +202,9 @@ TEST(FaultTolerantBackend, ThermalEmergencyCompletesThenCoolsDown) {
   backends::FaultToleranceOptions opts;
   opts.emergency_cooldown_s = 2.0;
   loadgen::VirtualClock clock;
-  backends::FaultTolerantBackend sut(
-      "ft", std::move(sim), AcceleratedPlan(chip, model),
-      backends::CompileCpuFallback(chip, model, DataType::kInt8), {}, clock,
-      opts);
+  backends::SimulatedBackend sut(
+      "ft", std::move(sim), AcceleratedPlan(chip, model), {}, clock, {},
+      CpuRecovery(chip, model, opts));
 
   CountingSink sink;
   const loadgen::QuerySample q{1, 0};
@@ -182,7 +215,7 @@ TEST(FaultTolerantBackend, ThermalEmergencyCompletesThenCoolsDown) {
   EXPECT_FALSE(sut.degraded_to_cpu());
 }
 
-TEST(FaultTolerantBackend, FullyFaultedAcceleratorStillYieldsValidRun) {
+TEST(SimulatedBackendRecovery, FullyFaultedAcceleratorStillYieldsValidRun) {
   // Acceptance: a 100%-crashing accelerator must still produce a valid
   // (degraded) single-stream result via the CPU fallback.
   const soc::ChipsetDesc chip = soc::Dimensity1100();
@@ -192,9 +225,9 @@ TEST(FaultTolerantBackend, FullyFaultedAcceleratorStillYieldsValidRun) {
   soc::SocSimulator sim(chip);
   sim.InjectFaults(soc::FaultPlan{}.DriverCrashes(1.0));
   loadgen::VirtualClock clock;
-  backends::FaultTolerantBackend sut(
-      "ft", std::move(sim), AcceleratedPlan(chip, model),
-      backends::CompileCpuFallback(chip, model, DataType::kInt8), {}, clock);
+  backends::SimulatedBackend sut(
+      "ft", std::move(sim), AcceleratedPlan(chip, model), {}, clock, {},
+      CpuRecovery(chip, model));
 
   struct TinyQsl final : loadgen::QuerySampleLibrary {
     [[nodiscard]] std::string_view name() const override { return "tiny"; }
@@ -216,7 +249,7 @@ TEST(FaultTolerantBackend, FullyFaultedAcceleratorStillYieldsValidRun) {
   EXPECT_GT(sut.stats().DegradationCount(), 0u);
 }
 
-TEST(FaultTolerantBackend, SampleDropsExpireUnderTheWatchdog) {
+TEST(SimulatedBackendRecovery, SampleDropsExpireUnderTheWatchdog) {
   // Lost completions are not retried (the work ran); the LoadGen watchdog
   // expires them at the configured virtual-clock deadline and the run
   // stays valid.
@@ -227,9 +260,9 @@ TEST(FaultTolerantBackend, SampleDropsExpireUnderTheWatchdog) {
   soc::SocSimulator sim(chip);
   sim.InjectFaults(soc::FaultPlan{}.SampleDrops(0.3));
   loadgen::VirtualClock clock;
-  backends::FaultTolerantBackend sut(
-      "ft", std::move(sim), AcceleratedPlan(chip, model),
-      backends::CompileCpuFallback(chip, model, DataType::kInt8), {}, clock);
+  backends::SimulatedBackend sut(
+      "ft", std::move(sim), AcceleratedPlan(chip, model), {}, clock, {},
+      CpuRecovery(chip, model));
 
   struct TinyQsl final : loadgen::QuerySampleLibrary {
     [[nodiscard]] std::string_view name() const override { return "tiny"; }
@@ -306,6 +339,60 @@ TEST(RunSubmissionFaults, SameSeedReproducesByteIdenticalFaultLogs) {
     EXPECT_EQ(a.tasks[i].fault_count, b.tasks[i].fault_count);
     EXPECT_EQ(a.tasks[i].status, b.tasks[i].status);
   }
+}
+
+// FNV-1a 64 of the report plus every task's fault log for a
+// performance-only Exynos 990 submission under a plan that mixes all four
+// fault kinds.  Scalar kernels keep the report's ISA column host-neutral.
+struct PinnedRun {
+  std::uint64_t hash = 0;
+  std::string fault_logs;
+  std::size_t breaker_trips = 0;
+};
+
+PinnedRun RunPinnedFaultedSubmission(bool e2e_with_breaker) {
+  harness::RunOptions o = FaultyOptions();
+  o.kernel_isa = infer::kernels::KernelIsa::kScalar;
+  o.fault_plan = soc::FaultPlan{}
+                     .DriverCrashes(0.25)
+                     .TransientStalls(0.25)
+                     .ThermalEmergencies(0.02)
+                     .SampleDrops(0.2);
+  if (e2e_with_breaker) {
+    o.end_to_end = true;
+    backends::CircuitBreakerOptions breaker;
+    breaker.trip_threshold = 1;
+    breaker.open_duration_s = 0.05;
+    o.circuit_breaker = breaker;
+  }
+  const harness::SubmissionResult r = harness::RunSubmission(
+      soc::Exynos990(), models::SuiteVersion::kV1_0, Bundles(), o);
+  PinnedRun pinned;
+  std::string text = harness::FormatSubmission(r);
+  for (const harness::TaskRunResult& t : r.tasks) {
+    pinned.fault_logs += t.fault_log;
+    pinned.breaker_trips += t.breaker_trips;
+  }
+  pinned.hash = harness::Fnv1a64(text + pinned.fault_logs);
+  return pinned;
+}
+
+TEST(RunSubmissionFaults, FaultedSubmissionOutputIsPinned) {
+  const PinnedRun plain = RunPinnedFaultedSubmission(false);
+  // The pin only means something if every recovery action fired.
+  for (const char* action : {"recovery retry", "recovery cpu_fallback",
+                             "recovery emergency_cooldown",
+                             "recovery lost_completion", "recovery gave_up"})
+    EXPECT_NE(plain.fault_logs.find(action), std::string::npos) << action;
+  EXPECT_EQ(plain.hash, 0xfe1fcace2c3422d2ull);
+}
+
+TEST(RunSubmissionFaults, FaultedEndToEndBreakerOutputIsPinned) {
+  const PinnedRun guarded = RunPinnedFaultedSubmission(true);
+  EXPECT_GT(guarded.breaker_trips, 0u);
+  EXPECT_NE(guarded.fault_logs.find("breaker closed->open"),
+            std::string::npos);
+  EXPECT_EQ(guarded.hash, 0xd3e03e75584a93c3ull);
 }
 
 TEST(RunSubmissionFaults, NoPlanMeansNoFaultMachinery) {

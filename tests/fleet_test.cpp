@@ -24,6 +24,7 @@
 #include "fleet/journal.h"
 #include "fleet/mix.h"
 #include "fleet/report.h"
+#include "harness/frame_log.h"
 #include "harness/run_session.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
@@ -157,6 +158,22 @@ TEST(Fleet, PublishedCountersSumTheReport) {
     runs.push_back(counters);
   }
   EXPECT_EQ(runs[0], runs[1]);
+}
+
+// FNV-1a 64 of the report of a 64-shard overloaded fleet whose shards
+// crash and run behind breakers: pins the faulted shard path byte for byte.
+TEST(Fleet, FaultedBreakerReportIsPinned) {
+  fleet::FleetOptions fo = SmallFleet(64);
+  fo.settings.server_target_qps = 400.0;
+  fo.settings.server_max_queue_depth = 4;
+  fo.settings.query_timeout = loadgen::Seconds{0.200};
+  soc::FaultPlan faults;
+  faults.DriverCrashes(0.2);
+  fo.fault_plan = faults;
+  fo.circuit_breaker = backends::CircuitBreakerOptions{};
+  const fleet::FleetReport r = fleet::RunFleet(fo);
+  ASSERT_GT(r.breaker_trips, 0u) << "the breakers must trip";
+  EXPECT_EQ(harness::Fnv1a64(fleet::FormatFleetReport(r)), 0xddfe9b3ae9d0b6faull);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -582,6 +583,25 @@ TEST(LoadGen, ShedEventsRoundTripThroughTheLog) {
   ASSERT_NE(parsed.FieldOrNull("result_shed_count"), nullptr);
   EXPECT_EQ(*parsed.FieldOrNull("result_shed_count"),
             std::to_string(r.shed_count));
+}
+
+TEST(LoadGen, ShedQueriesAreLoggedOnceAsEventsOnly) {
+  VirtualClock clock;
+  FixedLatencySut sut(clock, 0.001);
+  FakeQsl qsl(16);
+  TestSettings s = OverloadSettings();
+  s.server_max_queue_depth = 8;
+  const TestResult r = RunTest(sut, qsl, s, clock);
+  ASSERT_GT(r.shed_count, 0u);
+
+  std::map<std::uint64_t, int> shed_events;
+  for (const LogEvent& e : r.log.events())
+    if (e.kind == LogEventKind::kQueryShed) ++shed_events[e.query_id];
+  EXPECT_EQ(shed_events.size(), r.shed_count);
+  for (const auto& [id, n] : shed_events) EXPECT_EQ(n, 1) << id;
+  // The event is the record: no free-text line repeats it.
+  for (const std::string& line : r.error_log)
+    EXPECT_EQ(line.find("shed"), std::string::npos) << line;
 }
 
 

@@ -331,8 +331,9 @@ TEST(ArenaExecution, PreparedModelMatchesLegacyExecutor) {
                      "reused context");
 }
 
-// Harness level: the serial ReferenceBackend (arena path) must reproduce
-// the oracle's outputs and accuracy score bit-for-bit.
+// Harness level: the ReferenceBackend without a pool (one inline arena
+// context) must reproduce the oracle's outputs and accuracy score
+// bit-for-bit.
 TEST(ArenaExecution, ReferenceBackendAccuracyMatchesLegacyOracle) {
   const auto e = models::SuiteFor(models::SuiteVersion::kV1_0)[0];
   const std::unique_ptr<harness::TaskBundle> bundle =
